@@ -60,21 +60,17 @@ use wiforce_telemetry::json::JsonWriter;
 /// telemetry-on blocks now run with the trace ring *and* the metrics
 /// registry enabled, so `telemetry_overhead_pct` gates the full
 /// observability stack, not just the recorder;
-/// v7 the `synth_wide` section: the counter group timed with the SoA
-/// wide path forced on vs off (`ns_per_group_on` / `ns_per_group_off`,
-/// bitwise-identical output either way) plus
-/// `adaptive_snapshot_yield` — the fraction of the snapshot budget an
-/// SNR-targeted adaptive press actually synthesized;
-/// v8 the wide-batching / response-table fields: a top-level `quick`
-/// flag (gates relax on quick artifacts), the `calibration` object (the
-/// one-shot SoA chunk-width probe's verdict, also written to
-/// `CALIBRATION_synth.json`), `response_table_hit_rate` (steady-state
-/// per-scene sounding-response memo hit rate under zeroed patch jitter),
-/// and the `cross_stream_batch` object (superposition batch occupancy +
-/// chunk width from an untimed observed run); throughput points now run
-/// with `cross_stream` superposition on and record it, and the batch
-/// press count is 8 per stream in full mode (2 quick) so the steady
-/// state dominates the fixed per-run cost;
+/// v7 a wide-path section (SoA group timings on vs off, plus the
+/// adaptive-budget snapshot yield; removed in v10);
+/// v8 the response-table / batching fields: a top-level `quick` flag
+/// (gates relax on quick artifacts), a chunk-width calibration object
+/// (removed in v10), `response_table_hit_rate` (steady-state per-scene
+/// sounding-response memo hit rate under zeroed patch jitter), and the
+/// `cross_stream_batch` object (superposition batch occupancy from an
+/// untimed observed run); throughput points now run with `cross_stream`
+/// superposition on and record it, and the batch press count is 8 per
+/// stream in full mode (2 quick) so the steady state dominates the
+/// fixed per-run cost;
 /// v9 the spectral-synthesis fields: the `synth_spectral` object times
 /// the direct line-synthesis path (`WIFORCE_SYNTH_SPECTRAL`) that never
 /// materializes time-domain snapshots — `ns_per_press` /
@@ -88,8 +84,13 @@ use wiforce_telemetry::json::JsonWriter;
 /// the new `observability.metrics_streams` it is gated against, and the
 /// paired off/on overhead blocks rise from 7 to 11 in full mode (the
 /// count is recorded as `overhead_blocks`) so the median behind
-/// `telemetry_overhead_raw_pct` rests on more ratio samples.
-const BENCH_SCHEMA_VERSION: u32 = 9;
+/// `telemetry_overhead_raw_pct` rests on more ratio samples;
+/// v10 removed the v7 wide-path section, the v8 calibration object and
+/// the cross-stream chunk width: the wide SoA arm, the adaptive snapshot
+/// budget and the chunk-width calibrator they measured are gone, and the
+/// row and cross-stream paths run at one fixed chunk width. The
+/// standalone calibration file is no longer written.
+const BENCH_SCHEMA_VERSION: u32 = 10;
 
 /// A pass-through allocator that counts every allocation, so the bench
 /// can assert the steady-state snapshot loop is allocation-free.
@@ -276,51 +277,6 @@ fn main() {
     }
     let ns_per_group_parallel = t0.elapsed().as_nanos() as f64 / group_iters as f64;
 
-    // --- wide vs row counter synthesis ---------------------------------
-    // the same counter group with the structure-of-arrays wide path
-    // forced on vs off; the outputs are bitwise identical, so the delta
-    // is purely what plane-major synthesis buys
-    let mut wide_times = [0.0f64; 2];
-    for (i, wide) in [true, false].into_iter().enumerate() {
-        let mut sim_w = sim.clone();
-        sim_w.synth_wide = Some(wide);
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut clock = TagClock::new(&mut rng);
-        let mut noise = PressNoise::from_seed(0xBE7C);
-        stream.clear();
-        sim_w.run_snapshots_counter_into(None, 1, &mut clock, &mut noise, &mut stream);
-        let t0 = Instant::now();
-        for _ in 0..group_iters {
-            stream.clear();
-            sim_w.run_snapshots_counter_into(None, 1, &mut clock, &mut noise, &mut stream);
-        }
-        wide_times[i] = t0.elapsed().as_nanos() as f64 / group_iters as f64;
-    }
-    let [ns_per_group_wide_on, ns_per_group_wide_off] = wide_times;
-
-    // --- adaptive snapshot budget --------------------------------------
-    // one SNR-targeted press with the recorder on: the yield gauge says
-    // what fraction of the budget the adaptive path synthesized before
-    // the extracted lines cleared the target (deterministic for a fixed
-    // seed, so the determinism diff covers it)
-    let mut sim_a = Simulation::paper_default(2.4e9);
-    sim_a.reference_groups = 1;
-    sim_a.measure_groups = 1;
-    sim_a.adaptive = wiforce::pipeline::AdaptiveBudget::wiforce();
-    let model_a = sim_a.vna_calibration().expect("calibration");
-    let mut rng_a = StdRng::seed_from_u64(11);
-    wiforce_telemetry::reset();
-    wiforce_telemetry::set_enabled(true);
-    sim_a
-        .measure_press(&model_a, 4.0, 0.040, &mut rng_a)
-        .expect("adaptive press");
-    wiforce_telemetry::set_enabled(false);
-    let adaptive_snapshot_yield = wiforce_telemetry::take()
-        .gauges
-        .get("pipeline.adaptive_snapshot_yield")
-        .copied()
-        .unwrap_or(1.0);
-
     // --- response-table steady state -----------------------------------
     // repeated presses at one (force, location) with patch jitter zeroed:
     // the warmup press populates the per-scene response memo, after which
@@ -422,8 +378,8 @@ fn main() {
     let (spectral_batch_pps, spectral_batch_p95) = spectral_best;
 
     // untimed observed re-run at the top stream count: the timed loops
-    // keep telemetry off, so the cross-stream occupancy / chunk gauges —
-    // and the metrics registry's per-stream series, whose count the
+    // keep telemetry off, so the cross-stream occupancy gauge — and the
+    // metrics registry's per-stream series, whose count the
     // artifact reports — are harvested from one extra instrumented run
     wiforce_telemetry::reset();
     wiforce_telemetry::metrics::reset();
@@ -458,13 +414,6 @@ fn main() {
         .get("batch.cross_stream_occupancy")
         .copied()
         .unwrap_or(0.0);
-    let cross_chunk_rows = observed
-        .telemetry
-        .gauges
-        .get("batch.cross_stream_chunk_rows")
-        .copied()
-        .unwrap_or(0.0);
-    let cal = *wiforce::calibrate::calibration();
 
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -500,17 +449,9 @@ fn main() {
         "response_table_hit_rate",
         (response_table_hit_rate * 10000.0).round() / 10000.0,
     );
-    w.begin_object_key("calibration");
-    w.boolean("wide_default", cal.wide_default);
-    w.integer("chunk_rows", cal.chunk_rows as u64);
-    w.number("ns_per_row_wide", cal.ns_per_row_wide.round());
-    w.number("ns_per_row_narrow", cal.ns_per_row_narrow.round());
-    w.boolean("probed", cal.probed);
-    w.end_object();
     w.begin_object_key("cross_stream_batch");
     w.integer("batch_presses", batch_presses as u64);
     w.number("occupancy", (cross_occupancy * 10000.0).round() / 10000.0);
-    w.integer("chunk_rows", cross_chunk_rows as u64);
     w.end_object();
     w.begin_object_key("synth_spectral");
     w.number("ns_per_press", ns_per_press_spectral.round());
@@ -523,14 +464,6 @@ fn main() {
         (spectral_batch_pps * 100.0).round() / 100.0,
     );
     w.integer("p95_stream_latency_ns", spectral_batch_p95);
-    w.end_object();
-    w.begin_object_key("synth_wide");
-    w.number("ns_per_group_on", ns_per_group_wide_on.round());
-    w.number("ns_per_group_off", ns_per_group_wide_off.round());
-    w.number(
-        "adaptive_snapshot_yield",
-        (adaptive_snapshot_yield * 10000.0).round() / 10000.0,
-    );
     w.end_object();
     w.begin_object_key("observability");
     w.integer("trace_events", trace_events);
@@ -566,10 +499,6 @@ fn main() {
     let root = wiforce_bench::experiments::repo_root();
     let path = root.join("BENCH_pipeline.json");
     std::fs::write(&path, &json).expect("write BENCH_pipeline.json");
-    let cal_path = root.join("CALIBRATION_synth.json");
-    std::fs::write(&cal_path, cal.to_json_stamped(env!("GIT_REV")))
-        .expect("write CALIBRATION_synth.json");
     println!("{json}");
     println!("wrote {}", path.display());
-    println!("wrote {}", cal_path.display());
 }

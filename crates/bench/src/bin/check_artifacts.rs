@@ -6,7 +6,6 @@
 //! ```text
 //! check_artifacts --bench BENCH_pipeline.json --health health.json \
 //!                 [--trace trace.json] [--metrics metrics.prom] \
-//!                 [--calibration CALIBRATION_synth.json] \
 //!                 [--baseline BENCH_baseline.json]
 //! ```
 //!
@@ -21,15 +20,9 @@
 //! presence of per-stream series. Both are backed by
 //! [`wiforce_bench::observability`].
 //!
-//! `--calibration` validates the standalone `CALIBRATION_synth.json`
-//! probe verdict: structure plus the schema-v2 provenance pair
-//! (`schema_version` + `git_rev`), so the `--revs` / `--expect-rev`
-//! staleness gates below cover it exactly like the bench baseline.
-//!
 //! `--revs` takes a `git log` listing (one rev per line, short or full)
-//! and fails when each committed artifact's `git_rev` (`--baseline` when
-//! given, else `--bench`; plus `--calibration` when given) names no
-//! commit in it — a stale-baseline trap.
+//! and fails when the committed artifact's `git_rev` (`--baseline` when
+//! given, else `--bench`) names no commit in it — a stale-baseline trap.
 //!
 //! With `--baseline`, the `--bench` artifact is additionally compared
 //! against the given committed baseline with
@@ -227,58 +220,15 @@ fn check_bench(file: &str, root: &Value) -> Vec<String> {
         }
     }
 
-    // schema v7: the synth_wide section — wide vs row group timings plus
-    // the adaptive snapshot yield (a budget fraction, so (0, 1])
-    if schema >= 7.0 {
-        match root.get("synth_wide") {
-            None => c.fail("missing 'synth_wide' object (schema v7)".into()),
-            Some(sw) => {
-                for key in ["ns_per_group_on", "ns_per_group_off"] {
-                    match sw.get(key).and_then(Value::as_f64) {
-                        None => c.fail(format!("synth_wide missing numeric key '{key}'")),
-                        Some(v) if !(v > 0.0 && v.is_finite()) => {
-                            c.fail(format!("synth_wide.{key} = {v}, expected > 0"))
-                        }
-                        Some(_) => {}
-                    }
-                }
-                match sw.get("adaptive_snapshot_yield").and_then(Value::as_f64) {
-                    None => {
-                        c.fail("synth_wide missing numeric key 'adaptive_snapshot_yield'".into())
-                    }
-                    Some(y) if !(y > 0.0 && y <= 1.0) => c.fail(format!(
-                        "synth_wide.adaptive_snapshot_yield = {y}, expected in (0, 1]"
-                    )),
-                    Some(_) => {}
-                }
-            }
-        }
-    }
-
-    // schema v8: the wide-batching / response-table gates — these are
-    // absolute (no baseline needed): the calibrated wide default must
-    // win, the response memo must absorb steady-state presses, the
-    // steady-state group must stay near allocation-free, and a full
-    // artifact must clear the 8-stream throughput floor
+    // schema v8: the response-table / batching gates — these are
+    // absolute (no baseline needed): the response memo must absorb
+    // steady-state presses, the steady-state group must stay near
+    // allocation-free, and a full artifact must clear the 8-stream
+    // throughput floor
     if schema >= 8.0 {
         let quick = root.get("quick").and_then(Value::as_bool);
         if quick.is_none() {
             c.fail("missing boolean key 'quick' (schema v8)".into());
-        }
-        match root.get("calibration") {
-            None => c.fail("missing 'calibration' object (schema v8)".into()),
-            Some(cal) => {
-                for key in ["chunk_rows", "ns_per_row_wide", "ns_per_row_narrow"] {
-                    if cal.get(key).and_then(Value::as_f64).is_none() {
-                        c.fail(format!("calibration missing numeric key '{key}'"));
-                    }
-                }
-                for key in ["wide_default", "probed"] {
-                    if cal.get(key).and_then(Value::as_bool).is_none() {
-                        c.fail(format!("calibration missing boolean key '{key}'"));
-                    }
-                }
-            }
         }
         match root.get("response_table_hit_rate").and_then(Value::as_f64) {
             None => c.fail("missing numeric key 'response_table_hit_rate' (schema v8)".into()),
@@ -292,10 +242,8 @@ fn check_bench(file: &str, root: &Value) -> Vec<String> {
         match root.get("cross_stream_batch") {
             None => c.fail("missing 'cross_stream_batch' object (schema v8)".into()),
             Some(cs) => {
-                for key in ["batch_presses", "chunk_rows"] {
-                    if cs.get(key).and_then(Value::as_f64).is_none() {
-                        c.fail(format!("cross_stream_batch missing numeric key '{key}'"));
-                    }
+                if cs.get("batch_presses").and_then(Value::as_f64).is_none() {
+                    c.fail("cross_stream_batch missing numeric key 'batch_presses'".into());
                 }
                 match cs.get("occupancy").and_then(Value::as_f64) {
                     None => c.fail("cross_stream_batch missing numeric key 'occupancy'".into()),
@@ -311,21 +259,6 @@ fn check_bench(file: &str, root: &Value) -> Vec<String> {
                 c.fail(format!(
                     "allocs_per_group = {v:.1} exceeds the {:.0} ceiling",
                     regression::MAX_ALLOCS_PER_GROUP
-                ));
-            }
-        }
-        let sw = |key: &str| {
-            root.get("synth_wide")
-                .and_then(|sw| sw.get(key))
-                .and_then(Value::as_f64)
-        };
-        if let (Some(on), Some(off)) = (sw("ns_per_group_on"), sw("ns_per_group_off")) {
-            if off > 0.0 && on / off > regression::MAX_WIDE_ON_OFF_RATIO {
-                c.fail(format!(
-                    "synth_wide.ns_per_group_on = {on:.0} is {:.2}× ns_per_group_off = \
-                     {off:.0} (limit {:.2}×) — wide synthesis is enabled but losing",
-                    on / off,
-                    regression::MAX_WIDE_ON_OFF_RATIO
                 ));
             }
         }
@@ -437,50 +370,19 @@ fn check_bench(file: &str, root: &Value) -> Vec<String> {
     c.errors
 }
 
-/// Validates the standalone `CALIBRATION_synth.json` probe verdict:
-/// structure plus the v2 provenance pair (`schema_version` + `git_rev`)
-/// the `--revs` / `--expect-rev` staleness gates key on. A committed
-/// calibration without provenance can silently pin a chunk width probed
-/// on a machine (and code) nobody remembers.
-fn check_calibration(file: &str, root: &Value) -> Vec<String> {
-    let mut c = Checker::new(file);
-    match root.get("schema_version").and_then(Value::as_f64) {
-        None => c.fail("missing numeric key 'schema_version' (calibration v2)".into()),
-        Some(v) if v < 2.0 => c.fail(format!(
-            "schema_version = {v} predates the provenance stamp — regenerate \
-             CALIBRATION_synth.json with bench_json"
-        )),
-        Some(_) => {}
-    }
-    c.string(root, "git_rev");
-    for key in ["chunk_rows", "ns_per_row_wide", "ns_per_row_narrow"] {
-        c.number(root, key, true);
-    }
-    for key in ["wide_default", "probed"] {
-        if root.get(key).and_then(Value::as_bool).is_none() {
-            c.fail(format!("missing boolean key '{key}'"));
-        }
-    }
-    c.errors
-}
-
 fn check_health(file: &str, root: &Value) -> Vec<String> {
     let mut c = Checker::new(file);
     c.number(root, "schema_version", true);
 
     // yield and lock state must be present (null only when the relevant
     // subsystem never ran; the CLI `health` command runs them all)
-    for key in [
-        "snapshot_yield",
-        "adaptive_snapshot_yield",
-        "estimator_reference_locked",
-    ] {
+    for key in ["snapshot_yield", "estimator_reference_locked"] {
         if root.get(key).is_none() {
             c.fail(format!("missing key '{key}'"));
         }
     }
 
-    // schema v3: response-table / wide-batching gauges (null when the
+    // schema v3: response-table / cross-stream gauges (null when the
     // relevant path never ran, but the keys must exist)
     if root
         .get("schema_version")
@@ -488,11 +390,7 @@ fn check_health(file: &str, root: &Value) -> Vec<String> {
         .unwrap_or(0.0)
         >= 3.0
     {
-        for key in [
-            "response_table_hit_rate",
-            "synth_chunk_rows",
-            "cross_stream_occupancy",
-        ] {
+        for key in ["response_table_hit_rate", "cross_stream_occupancy"] {
             if root.get(key).is_none() {
                 c.fail(format!("missing key '{key}' (health schema v3)"));
             }
@@ -558,7 +456,6 @@ fn main() {
     let baseline = arg("--baseline");
     let trace = arg("--trace");
     let metrics = arg("--metrics");
-    let calibration = arg("--calibration");
     let revs = arg("--revs");
     let expect_rev = arg("--expect-rev");
 
@@ -589,16 +486,10 @@ fn main() {
         }
     }
 
-    if bench.is_none()
-        && health.is_none()
-        && trace.is_none()
-        && metrics.is_none()
-        && calibration.is_none()
-    {
+    if bench.is_none() && health.is_none() && trace.is_none() && metrics.is_none() {
         eprintln!(
             "usage: check_artifacts [--bench BENCH_pipeline.json] [--health health.json] \
              [--trace trace.json] [--metrics metrics.prom] \
-             [--calibration CALIBRATION_synth.json] \
              [--baseline BENCH_baseline.json] [--revs git-log.txt] \
              [--expect-rev SHA] | --diff A.json B.json"
         );
@@ -608,12 +499,12 @@ fn main() {
         eprintln!("--baseline requires --bench");
         std::process::exit(2);
     }
-    if revs.is_some() && baseline.is_none() && bench.is_none() && calibration.is_none() {
-        eprintln!("--revs requires --bench, --baseline, or --calibration");
+    if revs.is_some() && baseline.is_none() && bench.is_none() {
+        eprintln!("--revs requires --bench or --baseline");
         std::process::exit(2);
     }
-    if expect_rev.is_some() && bench.is_none() && calibration.is_none() {
-        eprintln!("--expect-rev requires --bench or --calibration");
+    if expect_rev.is_some() && bench.is_none() {
+        eprintln!("--expect-rev requires --bench");
         std::process::exit(2);
     }
 
@@ -623,9 +514,6 @@ fn main() {
     }
     if let Some(path) = &health {
         check_file(path, &mut errors, check_health);
-    }
-    if let Some(path) = &calibration {
-        check_file(path, &mut errors, check_calibration);
     }
     if let Some(path) = &trace {
         check_file(path, &mut errors, |file, root| {
@@ -654,15 +542,7 @@ fn main() {
     // --baseline artifact when given (that is the committed one), else
     // to --bench.
     if let Some(revs_path) = &revs {
-        // the committed bench baseline and the committed calibration
-        // verdict both go stale the same way; each provided artifact's
-        // git_rev must name a commit from the listing
-        let targets: Vec<&String> = baseline
-            .as_ref()
-            .or(bench.as_ref())
-            .into_iter()
-            .chain(calibration.as_ref())
-            .collect();
+        let targets: Vec<&String> = baseline.as_ref().or(bench.as_ref()).into_iter().collect();
         match std::fs::read_to_string(revs_path) {
             Err(e) => errors.push(format!("{revs_path}: unreadable: {e}")),
             Ok(revlist) => {
@@ -696,9 +576,7 @@ fn main() {
     // a mismatch means the bench binary was built before HEAD moved (the
     // stale-GIT_REV bug the build script's rerun-if-changed now prevents)
     if let Some(want) = &expect_rev {
-        // a freshly generated calibration carries the same stamp as the
-        // bench artifact it was written alongside — check both
-        for fresh_path in bench.iter().chain(calibration.iter()) {
+        for fresh_path in bench.iter() {
             match load(fresh_path) {
                 Err(e) => errors.push(e),
                 Ok(doc) => match doc.get("git_rev").and_then(Value::as_str) {
@@ -744,10 +622,7 @@ fn main() {
     }
 
     if errors.is_empty() {
-        for path in [bench, health, trace, metrics, calibration]
-            .into_iter()
-            .flatten()
-        {
+        for path in [bench, health, trace, metrics].into_iter().flatten() {
             println!("{path}: OK");
         }
     } else {

@@ -80,13 +80,6 @@ pub const STAGE_SUM_MIN_RATIO: f64 = 0.35;
 /// [`STAGE_SUM_MIN_RATIO`]).
 pub const STAGE_SUM_MAX_RATIO: f64 = 2.5;
 
-/// Ceiling on `synth_wide.ns_per_group_on / ns_per_group_off` for v8
-/// artifacts: the calibrated default may only run the wide SoA path when
-/// it actually wins, so an artifact where wide costs more than the row
-/// path (beyond timing noise on one 50-iteration pair) means the
-/// chunk-width calibration is broken or being ignored.
-pub const MAX_WIDE_ON_OFF_RATIO: f64 = 1.05;
-
 /// Floor on the steady-state `response_table_hit_rate` for v8 artifacts:
 /// with patch jitter zeroed, every post-warmup press must gather its
 /// prepared sounding tables from the per-scene response memo.
@@ -285,45 +278,6 @@ pub fn compare(baseline: &Value, fresh: &Value) -> Comparison {
         rows.push(Row::build(metric, baseline, fresh, false));
     }
 
-    // wide-path guard (schema v7+): the calibrated default must keep the
-    // SoA path at least as fast as the row path. Gated on the fresh
-    // artifact alone — the ratio needs no baseline — and reported as a
-    // before/after row so a drift in either leg is visible.
-    let wide = |doc: &Value, key: &str| {
-        doc.get("synth_wide")
-            .and_then(|sw| sw.get(key))
-            .and_then(Value::as_f64)
-    };
-    for key in ["ns_per_group_on", "ns_per_group_off"] {
-        let b = wide(baseline, key);
-        let f = wide(fresh, key);
-        if b.is_some() || f.is_some() {
-            rows.push(Row {
-                metric: format!("synth_wide.{key}"),
-                baseline: b,
-                fresh: f,
-                delta_pct: match (b, f) {
-                    (Some(b), Some(f)) if b != 0.0 => Some(100.0 * (f - b) / b),
-                    _ => None,
-                },
-                gated: key == "ns_per_group_on",
-            });
-        }
-    }
-    if let (Some(on), Some(off)) = (
-        wide(fresh, "ns_per_group_on"),
-        wide(fresh, "ns_per_group_off"),
-    ) {
-        if off > 0.0 && on / off > MAX_WIDE_ON_OFF_RATIO {
-            violations.push(format!(
-                "synth_wide.ns_per_group_on = {on:.0} is {:.2}× ns_per_group_off = {off:.0} \
-                 (limit {MAX_WIDE_ON_OFF_RATIO:.2}×) — the wide path is enabled but losing; \
-                 the chunk-width calibration should have fallen back to the row path",
-                on / off
-            ));
-        }
-    }
-
     // schema v4+: per-stage deltas. The synthesis stage is gated on its
     // own (it dominates the press and its span aggregate is less noisy
     // than the wall-clock headline); the rest name the stage that moved.
@@ -445,14 +399,6 @@ pub fn is_timing_key(key: &str) -> bool {
         || key == "trace_events"
         || key == "trace_dropped"
         || key == "metrics_series"
-        // schema-v8 wide-batching fields: the chunk-width probe times the
-        // machine, so its verdict (and everything downstream of the
-        // chosen width — chunk sizes, superposition-block occupancy)
-        // legitimately differs between runs and hosts
-        || key == "calibration"
-        || key == "chunk_rows"
-        || key == "occupancy"
-        || key == "wide_default"
         // the response memo's counters are shared across synth workers
         // and a racing double-build counts as an extra miss, so the
         // cumulative rate differs by scheduling accident (the bench's

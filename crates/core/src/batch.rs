@@ -59,7 +59,7 @@
 use crate::calib::SensorModel;
 use crate::estimator::{EstimatorConfig, ForceEstimator, ForceReading};
 use crate::multisensor::ContinuumSurface;
-use crate::pipeline::{Simulation, Sounder, TagClock};
+use crate::pipeline::{Simulation, Sounder, TagClock, SYNTH_CHUNK_ROWS};
 use crate::tracking::{TrackedReading, Tracker, TrackerConfig};
 use crate::WiForceError;
 use rand::rngs::StdRng;
@@ -151,7 +151,9 @@ impl ReaderSpec {
     /// workload. Clocks come from [`allocate_frequencies_on_grid`] at the
     /// group's bin spacing in the 800–2000 Hz band (keeping every `4fs`
     /// line under the snapshot-rate Nyquist), so the streams are exactly
-    /// separable from the shared snapshot rows.
+    /// separable from the shared snapshot rows. Presses cycle through
+    /// the five calibration locations (20–60 mm), so every scheduled
+    /// press lies inside the span [`Simulation::vna_calibration`] models.
     pub fn frequency_multiplexed(
         n_streams: usize,
         presses_per_stream: usize,
@@ -166,7 +168,7 @@ impl ReaderSpec {
             let presses = (0..presses_per_stream)
                 .map(|p| PressSpec {
                     force_n: 1.5 + 0.9 * ((s + p) % 5) as f64,
-                    location_m: 0.020 + 0.010 * ((2 * s + p) % 6) as f64,
+                    location_m: 0.020 + 0.010 * ((2 * s + p) % 5) as f64,
                 })
                 .collect();
             spec = spec.stream(&format!("s{s}"), fs, presses);
@@ -246,17 +248,13 @@ pub struct BatchConfig {
     /// replaces the per-snapshot symbol multiply + IFFT, and noise
     /// comes from the counter kernel at `(key, group, snapshot, lane)`
     /// — a pure function of coordinates. Per-stream results are
-    /// bit-identical at any [`Self::chunk_rows`] width, worker count,
-    /// and SIMD dispatch, but are a *different* (equally valid) noise
-    /// realization than the row/wide paths, which is why this is not
-    /// the default. Falls back to the row/wide paths for sounders
-    /// without a payload entry, moving scenes, and fault regimes that
-    /// draw mid-stream (drops, bursts).
+    /// bit-identical at any block width, worker count, and SIMD
+    /// dispatch, but are a *different* (equally valid) noise
+    /// realization than the row path, which is why this is not the
+    /// default. Falls back to the row path for sounders without a
+    /// payload entry, moving scenes, and fault regimes that draw
+    /// mid-stream (drops, bursts).
     pub cross_stream: bool,
-    /// SoA block width for the cross-stream path, clamped to
-    /// `1..=`[`crate::calibrate::MAX_CHUNK_ROWS`]. `None` defers to the
-    /// one-shot startup calibration; any width produces the same bits.
-    pub chunk_rows: Option<usize>,
 }
 
 impl BatchConfig {
@@ -269,7 +267,6 @@ impl BatchConfig {
             overflow: OverflowPolicy::Stall,
             consume_throttle: None,
             cross_stream: false,
-            chunk_rows: None,
         }
     }
 }
@@ -494,25 +491,24 @@ struct ReaderProducer {
     truth: Vec<Complex>,
     /// Edge scratch for [`wiforce_sensor::clock::ClockPair::state_weights_into`].
     edges: Vec<f64>,
-    /// Wide synthesis resolved from the template (flag, else env, else
-    /// the startup calibration's verdict).
-    wide: bool,
+    /// Block synthesis: `Some(normals per snapshot)` when the sounder
+    /// has a sequential plane path and this reader's faults draw nothing
+    /// mid-stream, so snapshots pre-draw their scalars and synthesize in
+    /// plane blocks — bit-identical to the row path by construction.
+    block_normals: Option<usize>,
     /// Cross-stream superposition resolved from the config (opt-in, and
     /// only when the sounder has a payload path and the scene is
     /// static; see [`BatchConfig::cross_stream`]).
     superpose: bool,
     /// Spectral-domain line synthesis resolved from the template
-    /// ([`Simulation::synth_spectral_enabled`]) and this reader's
-    /// eligibility (static scene, no mid-stream fault draws, white
-    /// estimate noise, mean-subtracted-DFT extraction). Takes priority
-    /// over the superposition and wide paths when engaged.
+    /// ([`Simulation::synth_spectral_enabled`]) and
+    /// [`Simulation::spectral_refusal`] under this reader's fault regime.
+    /// Takes priority over the superposition and row paths when engaged.
     spectral: bool,
     /// Per-snapshot, per-subcarrier estimate-noise sigma (per component)
     /// of the sounder — the unitarity input of the spectral path. 0 when
     /// `spectral` is off.
     sigma_est: f64,
-    /// SoA block width for the superposition path.
-    chunk_rows: usize,
     /// Sounder payload of the static channel alone — the superposition
     /// accumulator's starting row.
     payload_static: Vec<Complex>,
@@ -522,15 +518,17 @@ struct ReaderProducer {
     ones: Vec<Complex>,
     /// Superposition scratch: row-major payload plane for one block.
     payload_plane: Vec<Complex>,
-    /// Wide-path scratch: row-major truth plane for one snapshot block.
+    /// Block-path scratch: row-major truth plane for one snapshot block.
     truth_plane: Vec<Complex>,
-    /// Wide-path scratch: pre-drawn sounder normals, `rows ×
-    /// seq_normals_per_estimate`, drawn in exact row-path stream order.
+    /// Pre-drawn normals: `rows × block_normals` sounder normals in exact
+    /// row-path stream order on the block path; one line's per-subcarrier
+    /// noise on the spectral path.
     normals: Vec<f64>,
-    /// Wide-path scratch: one pre-drawn jitter normal per snapshot
-    /// (only drawn when the front end actually jitters).
+    /// Per-snapshot jitter normals: one block's worth on the block and
+    /// superposition paths (only drawn when the front end actually
+    /// jitters), one group's on the spectral path.
     jitters: Vec<f64>,
-    /// Box–Muller uniform scratch for the pre-draw.
+    /// Box–Muller uniform scratch for the block path's pre-draw.
     u1s: Vec<f64>,
     u2s: Vec<f64>,
     /// Snapshot matrices previously handed out; any entry whose consumers
@@ -559,19 +557,20 @@ impl ReaderProducer {
             && spec.faults.snapshot_drop_prob == 0.0
             && spec.faults.burst_prob == 0.0;
         // spectral-domain line synthesis never materializes snapshots at
-        // all; besides the superposition conditions it needs white
-        // sounder estimate noise (for the unitarity argument) and the
-        // mean-subtracted-DFT extraction the line model reproduces. It
-        // is accuracy-gated, not bit-pinned, so it only engages on the
-        // explicit opt-in ([`Simulation::synth_spectral_enabled`]).
+        // all. It is accuracy-gated, not bit-pinned, so it only engages on
+        // the explicit opt-in ([`Simulation::synth_spectral_enabled`]),
+        // and only where the one eligibility predicate accepts this
+        // reader's fault regime
+        let spectral = sim.synth_spectral_enabled() && sim.spectral_refusal(&spec.faults).is_none();
+        // faults that draw from (or consult) the RNG mid-stream keep the
+        // row path
+        let block_normals =
+            if spec.faults.snapshot_drop_prob == 0.0 && spec.faults.burst_prob == 0.0 {
+                sim.sounder.seq_normals_per_estimate()
+            } else {
+                None
+            };
         let sigma_est = sim.sounder.estimate_noise_sigma(sim.frontend.noise_floor);
-        let spectral = sim.synth_spectral_enabled()
-            && sim.group.method == crate::harmonics::ExtractionMethod::MeanSubtractedDft
-            && sim.sounder.response_token().is_some()
-            && sigma_est.is_some()
-            && sim.scene.movers.is_empty()
-            && spec.faults.snapshot_drop_prob == 0.0
-            && spec.faults.burst_prob == 0.0;
         // per-state payload contribution of one channel table: prepare
         // `gains ⊙ table[·][q]` through the sounder and keep its payload
         let payload_table = |table: &[[Complex; 4]]| -> Vec<[Complex; 4]> {
@@ -695,14 +694,10 @@ impl ReaderProducer {
             groups_done: 0,
             truth,
             edges: Vec::new(),
-            wide: sim.synth_wide_enabled(),
+            block_normals,
             superpose,
             spectral,
             sigma_est: sigma_est.unwrap_or(0.0),
-            chunk_rows: cfg
-                .chunk_rows
-                .unwrap_or_else(crate::calibrate::synth_chunk_rows)
-                .clamp(1, crate::calibrate::MAX_CHUNK_ROWS),
             payload_static,
             ones,
             payload_plane: Vec::new(),
@@ -753,19 +748,9 @@ impl ReaderProducer {
         let t_int = self.t_int;
         let wander_ppm = self.wander_ppm;
         let reference_groups = self.reference_groups;
-        // faults that draw from (or consult) the RNG mid-stream keep the
-        // row path; otherwise snapshots can pre-draw their scalars and
-        // plane-synthesize in blocks — bit-identical by construction
-        let wide_normals = if self.wide
-            && self.injector.config().snapshot_drop_prob == 0.0
-            && self.injector.config().burst_prob == 0.0
-        {
-            self.sounder.seq_normals_per_estimate()
-        } else {
-            None
-        };
         let superpose = self.superpose;
-        let chunk = self.chunk_rows;
+        let block_normals = self.block_normals;
+        let chunk = SYNTH_CHUNK_ROWS;
         let ReaderProducer {
             streams,
             scene,
@@ -796,7 +781,7 @@ impl ReaderProducer {
             // cross-stream superposition: the sounder payload is linear
             // in the channel, so one shared static payload plus one
             // table gather per stream replaces the per-snapshot symbol
-            // multiply + IFFT the row/wide paths pay. The per-group
+            // multiply + IFFT the row path pays. The per-group
             // noise key is drawn here (one sequential draw), and every
             // noise lane after that is a pure function of
             // `(key, group, snapshot, lane)` — so any block width and
@@ -846,17 +831,16 @@ impl ReaderProducer {
                 done += rows;
             }
             cross_occupancy = Some(n as f64 / (n.div_ceil(chunk) * chunk) as f64);
-        } else if let Some(npr) = wide_normals {
-            // wide path: per block, evaluate the truth plane and pre-draw
+        } else if let Some(npr) = block_normals {
+            // block path: per block, evaluate the truth plane and pre-draw
             // each snapshot's scalars in exact row-path stream order
-            // (2·n sounder normals, then the jitter normal iff the front
-            // end jitters), then hand the whole block to the sounder's
-            // plane kernel and apply the front end per row
-            const WIDE_ROWS: usize = 64;
+            // (the sounder's normals, then the jitter normal iff the
+            // front end jitters), then hand the whole block to the
+            // sounder's plane kernel and apply the front end per row
             let noise_std = frontend.noise_floor;
             let mut done = 0;
             while done < n {
-                let rows = WIDE_ROWS.min(n - done);
+                let rows = chunk.min(n - done);
                 truth_plane.clear();
                 truth_plane.resize(rows * width, Complex::ZERO);
                 normals.clear();
@@ -889,7 +873,7 @@ impl ReaderProducer {
                 }
                 let est = out.extend_rows(rows);
                 let ok = sounder.estimate_rows_prenoise_into(truth_plane, noise_std, normals, est);
-                assert!(ok, "seq_normals_per_estimate implies a wide rows path");
+                assert!(ok, "seq_normals_per_estimate implies a plane rows path");
                 for (r, row) in est.chunks_exact_mut(width).enumerate() {
                     frontend.process_with_jitter_normal(jitters[r], row, cache.full_scale);
                 }
@@ -932,7 +916,6 @@ impl ReaderProducer {
             if let Some(occ) = cross_occupancy {
                 wiforce_telemetry::counter!("batch.cross_stream_rows", n as u64);
                 wiforce_telemetry::gauge!("batch.cross_stream_occupancy", occ);
-                wiforce_telemetry::gauge!("batch.cross_stream_chunk_rows", chunk as f64);
             }
         }
         let group = Arc::new(out);
@@ -1108,8 +1091,8 @@ const SPECTRAL_JITTER_BIN: u32 = u32::MAX;
 /// Evaluates the next snapshot's true shared channel into `row`: advance
 /// every stream's tag clock, accumulate each tag's state-weighted
 /// response onto the static channel, then add any mover Doppler. This is
-/// the one truth writer both producer paths use, so the wide block path
-/// is arithmetically identical to the row path.
+/// the one truth writer of the row and block producer paths, so the block
+/// path is arithmetically identical to the row path.
 #[allow(clippy::too_many_arguments)]
 fn eval_shared_truth(
     streams: &mut [StreamSynth],
@@ -1692,11 +1675,6 @@ pub fn run_batch_observed(
                 rhits as f64 / (rhits + rmisses) as f64,
             );
         }
-        metrics::gauge_set(
-            "pipeline.synth_chunk_rows",
-            &[],
-            crate::calibrate::synth_chunk_rows() as f64,
-        );
         if let Some(&occ) = merged.gauges.get("batch.cross_stream_occupancy") {
             metrics::gauge_set("batch.cross_stream_occupancy", &[], occ);
         }
@@ -1764,80 +1742,54 @@ mod tests {
     }
 
     #[test]
-    fn wide_producer_matches_row_path_bitwise() {
-        // the wide block path pre-draws the same scalars the row path
-        // draws, in the same stream order, so every reading must be
-        // bit-identical with the flag on or off — including with movers
-        // (the truth plane is per-row either way) and at any worker count
-        let (mut sim, model) = template();
-        for movers in [false, true] {
-            if movers {
-                sim.scene
-                    .movers
-                    .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
+    fn frequency_multiplexed_presses_stay_in_the_calibrated_span() {
+        let (sim, model) = template();
+        let (lo, hi) = {
+            let locs = model.locations_m();
+            (locs[0], locs[locs.len() - 1])
+        };
+        for n_streams in [1, 4, 8] {
+            let spec = ReaderSpec::frequency_multiplexed(n_streams, 12, 0x5A4E, &sim.group)
+                .expect("allocation");
+            for s in &spec.streams {
+                for p in &s.presses {
+                    assert!(
+                        (lo - 1e-12..=hi + 1e-12).contains(&p.location_m),
+                        "stream {} press at {} m outside [{lo}, {hi}]",
+                        s.name,
+                        p.location_m
+                    );
+                }
             }
-            let spec =
-                ReaderSpec::frequency_multiplexed(2, 2, 0xD1CE, &sim.group).expect("allocation");
-            let run = |wide: bool, workers: usize| {
-                let mut sim_w = sim.clone();
-                sim_w.synth_wide = Some(wide);
-                run_batch(
-                    &sim_w,
-                    &model,
-                    std::slice::from_ref(&spec),
-                    &BatchConfig::wiforce(workers),
-                )
-                .expect("batch runs")
-            };
-            let row = run(false, 1);
-            let wide1 = run(true, 1);
-            let wide8 = run(true, 8);
-            assert!(
-                row.deterministic_eq(&wide1),
-                "wide producer diverged from row path (movers: {movers})"
-            );
-            assert!(
-                wide1.deterministic_eq(&wide8),
-                "wide producer lost worker invariance (movers: {movers})"
-            );
-            assert!(row.press_readings() > 0);
         }
     }
 
     #[test]
-    fn cross_stream_superposition_is_width_and_worker_invariant() {
+    fn cross_stream_superposition_is_worker_invariant() {
         // the superposition path keys every noise lane by
         // (key, group, snapshot, lane) and draws its per-row scalars in
         // row order, so per-stream readings must be bit-identical at any
-        // SoA block width and any worker count (the forced-scalar axis
-        // rides the CI matrix over this same fixture)
+        // worker count (the forced-scalar axis rides the CI matrix over
+        // this same fixture)
         let (sim, model) = template();
         let spec = ReaderSpec::frequency_multiplexed(8, 2, 0xAB5, &sim.group).expect("allocation");
-        let run = |chunk: Option<usize>, workers: usize| {
+        let run = |workers: usize| {
             let cfg = BatchConfig {
                 cross_stream: true,
-                chunk_rows: chunk,
                 ..BatchConfig::wiforce(workers)
             };
             run_batch(&sim, &model, std::slice::from_ref(&spec), &cfg).expect("batch runs")
         };
-        let base = run(Some(1), 1);
-        for (chunk, workers) in [
-            (Some(4), 1),
-            (Some(crate::calibrate::MAX_CHUNK_ROWS), 1),
-            (Some(1), 8),
-            (Some(4), 8),
-            (None, 8),
-        ] {
-            let other = run(chunk, workers);
+        let base = run(1);
+        for workers in [2, 8] {
             assert!(
-                base.deterministic_eq(&other),
-                "superposition diverged at chunk {chunk:?} workers {workers}"
+                base.deterministic_eq(&run(workers)),
+                "superposition diverged at workers {workers}"
             );
         }
         assert_eq!(base.press_readings(), 16);
         // and it is genuinely a different noise realization than the
-        // row/wide paths — not accidentally routed through them
+        // row path — not accidentally routed through it
         let legacy = run_batch(
             &sim,
             &model,
@@ -1849,27 +1801,27 @@ mod tests {
     }
 
     #[test]
-    fn spectral_batch_is_worker_and_chunk_invariant() {
+    fn spectral_batch_is_worker_invariant() {
         // the spectral producer draws one press key per group and keys
         // every noise lane by (key, group, bin, lane), so readings must
-        // be bit-identical at any worker count and any chunk width (the
-        // chunk knob is a no-op on this arm but must stay harmless)
+        // be bit-identical at any worker count
         let (mut sim, model) = template();
         sim.synth_spectral = Some(true);
         let spec = ReaderSpec::frequency_multiplexed(4, 2, 0x5BEC, &sim.group).expect("allocation");
-        let run = |chunk: Option<usize>, workers: usize| {
-            let cfg = BatchConfig {
-                chunk_rows: chunk,
-                ..BatchConfig::wiforce(workers)
-            };
-            run_batch(&sim, &model, std::slice::from_ref(&spec), &cfg).expect("batch runs")
+        let run = |workers: usize| {
+            run_batch(
+                &sim,
+                &model,
+                std::slice::from_ref(&spec),
+                &BatchConfig::wiforce(workers),
+            )
+            .expect("batch runs")
         };
-        let base = run(None, 1);
-        for (chunk, workers) in [(None, 8), (Some(4), 1), (Some(4), 8)] {
-            let other = run(chunk, workers);
+        let base = run(1);
+        for workers in [2, 8] {
             assert!(
-                base.deterministic_eq(&other),
-                "spectral batch diverged at chunk {chunk:?} workers {workers}"
+                base.deterministic_eq(&run(workers)),
+                "spectral batch diverged at workers {workers}"
             );
         }
         assert_eq!(base.press_readings(), 8);
@@ -1897,24 +1849,70 @@ mod tests {
             .movers
             .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
         let spec = ReaderSpec::frequency_multiplexed(2, 2, 0xFA11, &sim.group).expect("allocation");
-        let run = |spectral: bool| {
+        let run = |spectral: bool, workers: usize| {
             let mut sim_s = sim.clone();
             sim_s.synth_spectral = Some(spectral);
             run_batch(
                 &sim_s,
                 &model,
                 std::slice::from_ref(&spec),
-                &BatchConfig::wiforce(1),
+                &BatchConfig::wiforce(workers),
             )
             .expect("batch runs")
         };
-        let off = run(false);
-        let on = run(true);
+        let off = run(false, 1);
+        let on = run(true, 1);
         assert!(
             off.deterministic_eq(&on),
             "ineligible spectral request must fall back to the time-domain arm"
         );
         assert!(off.press_readings() > 0);
+        // the time-domain producer with movers keeps worker invariance
+        assert!(
+            on.deterministic_eq(&run(true, 8)),
+            "fallback lost worker invariance"
+        );
+    }
+
+    #[test]
+    fn block_producer_matches_row_path_bitwise() {
+        // the block path pre-draws the same scalars the row path draws,
+        // in the same stream order, so every snapshot must be
+        // bit-identical to the row reference — with and without movers
+        // (the truth plane is per-row either way)
+        let (mut sim, _) = template();
+        for movers in [false, true] {
+            if movers {
+                sim.scene
+                    .movers
+                    .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
+            }
+            let spec =
+                ReaderSpec::frequency_multiplexed(2, 2, 0xD1CE, &sim.group).expect("allocation");
+            let cfg = BatchConfig::wiforce(1);
+            let mut block = ReaderProducer::build(&sim, &spec, &cfg);
+            let mut row = ReaderProducer::build(&sim, &spec, &cfg);
+            assert!(block.block_normals.is_some(), "OFDM has a plane path");
+            row.block_normals = None;
+            for g in 0..3 {
+                let (bs, bm) = block.produce_group();
+                let (rs, rm) = row.produce_group();
+                assert_eq!(bs, rs);
+                assert_eq!(bm.n_rows(), rm.n_rows());
+                for (i, (x, y)) in bm.as_slice().iter().zip(rm.as_slice()).enumerate() {
+                    assert_eq!(
+                        x.re.to_bits(),
+                        y.re.to_bits(),
+                        "movers {movers} g{g} at {i}"
+                    );
+                    assert_eq!(
+                        x.im.to_bits(),
+                        y.im.to_bits(),
+                        "movers {movers} g{g} at {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

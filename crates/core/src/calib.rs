@@ -272,7 +272,9 @@ impl SensorModel {
         f.flush()
     }
 
-    /// Loads a model saved by [`Self::save`].
+    /// Loads a model saved by [`Self::save`]. The header's curve count
+    /// must fit the file's lines, and every location, coefficient and
+    /// force bound must be finite; violations are `InvalidData` errors.
     pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
         use std::io::{Error, ErrorKind};
         let bad = |msg: &str| Error::new(ErrorKind::InvalidData, msg.to_string());
@@ -295,6 +297,12 @@ impl SensorModel {
             .next()
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| bad("bad force range"))?;
+        if !(force_min_n.is_finite() && force_max_n.is_finite()) {
+            return Err(bad("non-finite force range"));
+        }
+        if n > text.lines().count() - 1 {
+            return Err(bad("curve count exceeds the file's lines"));
+        }
         let mut curves = Vec::with_capacity(n);
         for _ in 0..n {
             let line = lines.next().ok_or_else(|| bad("truncated model file"))?;
@@ -302,6 +310,7 @@ impl SensorModel {
             let loc: f64 = parts
                 .next()
                 .and_then(|v| v.trim().parse().ok())
+                .filter(|v: &f64| v.is_finite())
                 .ok_or_else(|| bad("bad location"))?;
             let parse_poly =
                 |chunk: Option<&str>| -> Result<wiforce_dsp::polyfit::Polynomial, Error> {
@@ -313,6 +322,9 @@ impl SensorModel {
                     let coeffs = coeffs.map_err(|_| bad("bad coefficient"))?;
                     if coeffs.is_empty() {
                         return Err(bad("empty coefficient set"));
+                    }
+                    if coeffs.iter().any(|c| !c.is_finite()) {
+                        return Err(bad("non-finite coefficient"));
                     }
                     Ok(wiforce_dsp::polyfit::Polynomial::new(coeffs))
                 };
@@ -392,6 +404,40 @@ mod persistence_tests {
         let path = tmp("garbage.wfm");
         std::fs::write(&path, "not a model\n1 2 3").unwrap();
         assert!(SensorModel::load(&path).is_err());
+    }
+
+    #[test]
+    fn load_rejects_oversized_curve_count() {
+        let path = tmp("oversized.wfm");
+        std::fs::write(&path, "WFM1 18446744073709551615 0.5 8\n").unwrap();
+        let err = SensorModel::load(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn load_rejects_non_finite_values() {
+        let m = sample_model();
+        let path = tmp("finite.wfm");
+        m.save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        // first coefficient of the first curve's port-1 cubic
+        let (loc, rest) = lines[1].split_once(" | ").unwrap();
+        let (_, tail) = rest.split_once(' ').unwrap();
+        let nan_coeff = format!("{loc} | NaN {tail}");
+        // the header's force range
+        let head: Vec<&str> = lines[0].split_whitespace().collect();
+        let inf_range = format!("{} {} {} inf", head[0], head[1], head[2]);
+        for (row, bad) in [(1, nan_coeff), (0, inf_range)] {
+            let saved = std::mem::replace(&mut lines[row], bad);
+            std::fs::write(&path, lines.join("\n")).unwrap();
+            let err = SensorModel::load(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            lines[row] = saved;
+        }
+        // and the restored text still loads
+        std::fs::write(&path, lines.join("\n")).unwrap();
+        assert!(SensorModel::load(&path).is_ok());
     }
 
     #[test]

@@ -106,6 +106,13 @@ impl ForceEstimator {
         snapshot: &[Complex],
     ) -> Result<Option<ForceReading>, WiForceError> {
         self.buffer.push_row(snapshot);
+        if self.buffer.n_rows() == 1 {
+            // the width is known now: reserve the whole group once instead
+            // of growing through a chain of doubling reallocations (a
+            // no-op after the first group, since `clear` keeps capacity)
+            self.buffer
+                .reserve_rows(self.cfg.group.n_snapshots.saturating_sub(1));
+        }
         if self.buffer.n_rows() < self.cfg.group.n_snapshots {
             return Ok(None);
         }

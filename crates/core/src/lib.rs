@@ -55,7 +55,6 @@
 
 pub mod batch;
 pub mod calib;
-pub mod calibrate;
 pub mod diffphase;
 pub mod estimator;
 pub mod gestures;

@@ -17,8 +17,7 @@ use crate::calib::{CalibrationSample, LocationData, SensorModel};
 use crate::diffphase::{differential, Averaging, DiffPhases};
 use crate::estimator::ForceReading;
 use crate::harmonics::{
-    emit_extraction_telemetry, extract_lines, extract_lines_quiet, ExtractionMethod, GroupLines,
-    PhaseGroupConfig,
+    emit_extraction_telemetry, extract_lines_quiet, ExtractionMethod, GroupLines, PhaseGroupConfig,
 };
 use crate::{parallel, WiForceError};
 use rand::Rng;
@@ -289,35 +288,11 @@ pub struct Simulation {
     /// re-evaluates the scene every call — bit-identical output, used by
     /// the cache-equivalence fixture tests.
     pub use_channel_cache: bool,
-    /// Synthesize press snapshots from the counter-addressed noise stream
-    /// (on by default): every Gaussian draw is a pure function of
-    /// `(press key, group, snapshot, lane)`, so groups synthesize in
-    /// parallel on the worker pool and each finished group streams
-    /// straight into spectrum extraction. Turning it off restores the
-    /// sequential `Rng`-threaded reference path (bit-identical to earlier
-    /// releases), kept for the equivalence fixtures.
-    pub counter_synth: bool,
     /// Worker threads for counter synthesis. `None` defers to
     /// `WIFORCE_SYNTH_WORKERS` / the machine's parallelism (see
     /// [`crate::parallel::default_workers`]); results are bit-identical
     /// at any setting.
     pub synth_workers: Option<usize>,
-    /// Structure-of-arrays wide synthesis: whole snapshot chunks go
-    /// through one plane-kernel sounder call instead of row-at-a-time
-    /// estimation. `None` defers to `WIFORCE_SYNTH_WIDE` (default on);
-    /// `Some(false)` pins the row path. In exact mode (the default, no
-    /// [`Self::adaptive`] budget) the wide path is bitwise identical to
-    /// the row path — fixture-pinned — so this flag trades nothing but
-    /// speed. Falls back to rows automatically for sounders without a
-    /// wide entry (FMCW), moving scenes, and snapshot-drop fault runs.
-    pub synth_wide: Option<bool>,
-    /// Adaptive snapshot budget for the fused counter path: stop
-    /// synthesizing a group early once its extracted lines clear a target
-    /// SNR over the quantization floor. Off by default — exact mode keeps
-    /// every bit-identity fixture; adaptive mode trades the tail of each
-    /// group's budget for throughput and is gated by accuracy fixtures
-    /// instead.
-    pub adaptive: AdaptiveBudget,
     /// Spectral-domain direct line synthesis: skip the time-domain
     /// snapshots entirely and generate the harmonic spectral lines at the
     /// consumed bins — the deterministic tag/scene contribution from a
@@ -327,9 +302,9 @@ pub struct Simulation {
     /// `WIFORCE_SYNTH_SPECTRAL` (default off). The spectral path is
     /// *not* bit-identical to the time-domain reference — it is
     /// distribution-equivalent and accuracy-gated by fixtures — so the
-    /// counter/wide paths above remain the bit-pinned reference. Falls
-    /// back to time-domain synthesis automatically for configurations
-    /// outside its validity envelope (see `Simulation::spectral_eligible`).
+    /// counter row path remains the bit-pinned reference. Falls back to
+    /// it automatically for configurations outside its validity
+    /// envelope (see [`Simulation::spectral_refusal`]).
     pub synth_spectral: Option<bool>,
     /// The shared cache slot. `Clone` shares it, so cloned simulations
     /// (batch workers) reuse one entry; fingerprint checks rebuild it on
@@ -367,38 +342,17 @@ impl Simulation {
             patch_position_jitter_m: 1.0e-3,
             patch_edge_jitter_m: 0.25e-3,
             use_channel_cache: true,
-            counter_synth: true,
             synth_workers: None,
-            synth_wide: None,
-            adaptive: AdaptiveBudget::off(),
             synth_spectral: None,
             channel_cache: SharedChannelCache::new(),
         }
     }
 
-    /// Resolves the wide-synthesis flag: explicit field, else the
-    /// `WIFORCE_SYNTH_WIDE` environment toggle (read once), else the
-    /// one-shot startup calibration's verdict — wide defaults on only
-    /// when it actually beats the row path on this machine
-    /// ([`crate::calibrate::calibration`]). Either answer is
-    /// bit-identical; the flag trades nothing but speed.
-    pub fn synth_wide_enabled(&self) -> bool {
-        static ENV: OnceLock<Option<bool>> = OnceLock::new();
-        self.synth_wide.unwrap_or_else(|| {
-            ENV.get_or_init(|| {
-                std::env::var("WIFORCE_SYNTH_WIDE")
-                    .ok()
-                    .map(|v| !(v == "0" || v.eq_ignore_ascii_case("off")))
-            })
-            .unwrap_or_else(|| crate::calibrate::calibration().wide_default)
-        })
-    }
-
     /// Resolves the spectral-synthesis flag: explicit field, else the
     /// `WIFORCE_SYNTH_SPECTRAL` environment toggle (read once), else off.
-    /// Unlike the wide flag this is an accuracy-class switch, not a pure
-    /// speed knob: the spectral path is distribution-equivalent (fixture
-    /// gated), not bit-identical, so it never defaults on.
+    /// This is an accuracy-class switch, not a pure speed knob: the
+    /// spectral path is distribution-equivalent (fixture gated), not
+    /// bit-identical, so it never defaults on.
     pub fn synth_spectral_enabled(&self) -> bool {
         static ENV: OnceLock<bool> = OnceLock::new();
         self.synth_spectral.unwrap_or_else(|| {
@@ -410,27 +364,39 @@ impl Simulation {
         })
     }
 
-    /// Whether this configuration is inside the spectral path's validity
-    /// envelope. The closed-form line model needs: the mean-subtracted
+    /// Why this configuration falls outside the spectral path's validity
+    /// envelope under the fault regime `faults`, or `None` when it is
+    /// inside. The closed-form line model needs: the mean-subtracted
     /// DFT extraction (the model *is* that transform), a static scene
     /// (movers make the per-snapshot truth time-varying), no
     /// snapshot-drop or burst faults (both act on whole time-domain
-    /// rows), exact mode (the adaptive budget decides from time-domain
-    /// prefixes), a sounder with white uniform estimate noise
-    /// ([`ChannelSounder::estimate_noise_sigma`]), and a hashable sounder
-    /// configuration for the per-bin response memo. Anything else falls
-    /// back to the time-domain counter path.
-    pub fn spectral_eligible(&self) -> bool {
-        self.group.method == ExtractionMethod::MeanSubtractedDft
-            && self.scene.movers.is_empty()
-            && self.faults.snapshot_drop_prob == 0.0
-            && self.faults.burst_prob == 0.0
-            && !self.adaptive.enabled
-            && self.sounder.response_token().is_some()
-            && self
-                .sounder
-                .estimate_noise_sigma(self.frontend.noise_floor)
-                .is_some()
+    /// rows), a hashable sounder configuration for the per-bin response
+    /// memo, and a sounder with white uniform estimate noise
+    /// ([`ChannelSounder::estimate_noise_sigma`]). The returned name is
+    /// the first condition that fails. This is the one eligibility
+    /// predicate: [`Self::measure_phases`] passes `self.faults`, and
+    /// each batch reader passes its own fault regime. Refused
+    /// configurations run the time-domain counter row path.
+    pub fn spectral_refusal(&self, faults: &FaultConfig) -> Option<&'static str> {
+        if self.group.method != ExtractionMethod::MeanSubtractedDft {
+            Some("extraction_method")
+        } else if !self.scene.movers.is_empty() {
+            Some("moving_scene")
+        } else if faults.snapshot_drop_prob != 0.0 {
+            Some("snapshot_drops")
+        } else if faults.burst_prob != 0.0 {
+            Some("burst_faults")
+        } else if self.sounder.response_token().is_none() {
+            Some("sounder_config_unhashable")
+        } else if self
+            .sounder
+            .estimate_noise_sigma(self.frontend.noise_floor)
+            .is_none()
+        {
+            Some("estimate_noise_not_white")
+        } else {
+            None
+        }
     }
 
     /// Same setup with the finite-difference mechanics (slower, used for
@@ -469,8 +435,8 @@ impl Simulation {
             .map(|p| ContactState::from_patch(&p, self.transducer.length_m()))
     }
 
-    /// Emits the channel cache's cumulative response-table hit rate and
-    /// the calibrated SoA chunk width as gauges, for health reports.
+    /// Emits the channel cache's cumulative response-table hit rate as a
+    /// gauge, for health reports.
     ///
     /// Deliberately *not* called from the per-press hot path: the memo's
     /// hit/miss counters are shared across workers and build races count
@@ -486,10 +452,6 @@ impl Simulation {
                 h as f64 / (h + m) as f64
             );
         }
-        wiforce_telemetry::gauge!(
-            "pipeline.synth_chunk_rows",
-            crate::calibrate::synth_chunk_rows() as f64
-        );
     }
 
     /// Absolute subcarrier frequencies, Hz.
@@ -819,13 +781,23 @@ impl Simulation {
         out: &mut SnapshotMatrix,
     ) {
         let freqs = self.subcarrier_freqs_hz();
-        self.synth_counter(&freqs, contact, n_groups, clock_state, noise, out, None);
+        self.synth_counter(
+            &freqs,
+            contact,
+            n_groups,
+            clock_state,
+            noise,
+            out,
+            None,
+            true,
+        );
     }
 
-    /// Counter-addressed twin of [`Self::run_groups`], with the fused
-    /// synth→spectrum streaming path: each snapshot group is handed to
-    /// line extraction by whichever worker finishes it, while other
-    /// groups are still synthesizing.
+    /// Simulates `n_groups` phase groups for a fixed contact state on the
+    /// counter row path, returning the extracted line values per group.
+    /// This is the fused synth→spectrum streaming path: each snapshot
+    /// group is handed to line extraction by whichever worker finishes
+    /// it, while other groups are still synthesizing.
     pub fn run_groups_counter(
         &self,
         contact: Option<&ContactState>,
@@ -848,6 +820,7 @@ impl Simulation {
             noise,
             &mut scratch,
             Some(&spec),
+            true,
         )
         .0
     }
@@ -870,6 +843,13 @@ impl Simulation {
     /// telemetry from worker threads); the floor probe rides on group 0.
     /// All telemetry is re-emitted deterministically on the calling
     /// thread after the join.
+    ///
+    /// Every caller passes `blocks = true`: on a prepared static scene
+    /// without snapshot drops, each chunk is then synthesized in one
+    /// [`ChannelSounder::estimate_prepared_counter_rows_into`] plane call
+    /// (sounders without that entry, such as FMCW, fall back to rows).
+    /// The block path is bitwise identical to the row-at-a-time reference
+    /// that `blocks = false` forces; the fixtures pin that.
     #[allow(clippy::too_many_arguments)]
     fn synth_counter(
         &self,
@@ -880,6 +860,7 @@ impl Simulation {
         noise: &mut PressNoise,
         out: &mut SnapshotMatrix,
         fused: Option<&FusedExtraction<'_>>,
+        blocks: bool,
     ) -> (Vec<GroupLines>, Option<GroupLines>) {
         let _span = wiforce_telemetry::span!("pipeline.run_snapshots");
         let telem = wiforce_telemetry::enabled();
@@ -940,17 +921,14 @@ impl Simulation {
         // enabled must synthesize in order as one chunk (the fallback for
         // a drop on a group's first snapshot is the noiseless truth —
         // unlike the sequential path, the boundary is per group, not per
-        // call, which keeps groups independent)
-        // chunk width comes from the one-shot startup calibration
-        // (`WIFORCE_SYNTH_CHUNK_ROWS` overrides); any width produces the
-        // same bits because every draw is counter-addressed
-        let chunk_cap = crate::calibrate::synth_chunk_rows();
-        let chunk_rows = if self.faults.snapshot_drop_prob > 0.0 {
+        // call, which keeps groups independent); any other width produces
+        // the same bits because every draw is counter-addressed
+        let rows_per_chunk = if self.faults.snapshot_drop_prob > 0.0 {
             n
         } else {
-            chunk_cap.min(n)
+            SYNTH_CHUNK_ROWS.min(n)
         };
-        let chunks_per_group = n.div_ceil(chunk_rows);
+        let chunks_per_group = n.div_ceil(rows_per_chunk);
         let n_chunks = n_groups * chunks_per_group;
         let region = out.extend_rows(n_groups * n);
         let region_ptr = region.as_mut_ptr() as usize;
@@ -969,27 +947,16 @@ impl Simulation {
         let dropped = AtomicUsize::new(0);
         let bursts = AtomicUsize::new(0);
 
-        // wide (plane) synthesis eligibility: one sounder call fills a
-        // whole chunk of snapshot rows, so it needs the prepared
-        // static-scene fast path and drop-free rows (a drop holds the
-        // previous row, serializing the group). Wide chunks are at most
-        // CHUNK_ROWS, so the per-chunk state table lives on the stack —
-        // the wide path adds no per-chunk heap traffic.
-        let wide = self.synth_wide_enabled()
-            && prepared.is_some()
-            && self.faults.snapshot_drop_prob == 0.0;
-        let min_snapshots = self.adaptive.min_snapshots;
-        let adaptive_active = fused.is_some()
-            && self.adaptive.enabled
-            && prepared.is_some()
-            && self.faults.snapshot_drop_prob == 0.0
-            && min_snapshots > 0
-            && min_snapshots < n;
+        // block synthesis: one sounder call fills a whole chunk of
+        // snapshot rows, so it needs the prepared static-scene states and
+        // drop-free rows (a drop holds the previous row, serializing the
+        // group). Chunks are at most SYNTH_CHUNK_ROWS, so the per-chunk
+        // state table lives on the stack.
+        let blocks = blocks && prepared.is_some() && self.faults.snapshot_drop_prob == 0.0;
 
         // Synthesizes rows [s0, s1) of group `g` straight into the output
-        // region — the unit of work shared by the exact chunk bag and the
-        // adaptive prefix/remainder passes. Local tallies flush to the
-        // shared atomics per call.
+        // region — one chunk of the bag. Local tallies flush to the shared
+        // atomics per call.
         let synth_rows = |g: usize, s0: usize, s1: usize| {
             let plan = &plans[g];
             let rows = s1 - s0;
@@ -1006,65 +973,63 @@ impl Simulation {
             let (mut l_sounder_t, mut l_sounder_n) = (0_u64, 0_u64);
             let (mut l_frontend_t, mut l_frontend_n) = (0_u64, 0_u64);
             let (mut l_dropped, mut l_bursts) = (0_usize, 0_usize);
-            let mut wide_done = false;
-            if wide && rows <= chunk_cap {
-                if let Some(states) = prepared.as_deref() {
-                    // the tag-state walk is the whole channel evaluation
-                    // on the prepared path: an O(1) table index per row
-                    let mut st = [0u8; crate::calibrate::MAX_CHUNK_ROWS];
+            let mut block_done = false;
+            if let (true, Some(states)) = (blocks, prepared.as_deref()) {
+                // the tag-state walk is the whole channel evaluation on
+                // the prepared path: an O(1) table index per row
+                let mut st = [0u8; SYNTH_CHUNK_ROWS];
+                for s in s0..s1 {
+                    let t_tag = plan.t_tag0 + s as f64 * plan.dt_eff;
+                    let on1 = self.tag.clocks.modulation1(t_tag);
+                    let on2 = self.tag.clocks.modulation2(t_tag);
+                    st[s - s0] = on1 as u8 | ((on2 as u8) << 1);
+                }
+                let t1 = telem.then(fastclock::ticks);
+                if let Some(lanes) = self.sounder.estimate_prepared_counter_rows_into(
+                    states,
+                    &st[..rows],
+                    self.frontend.noise_floor,
+                    key,
+                    plan.group_id,
+                    s0 as u32,
+                    base,
+                ) {
+                    l_eval_n += rows as u64;
+                    let t2 = telem.then(fastclock::ticks);
+                    if let (Some(a), Some(b)) = (t1, t2) {
+                        l_sounder_t += b.wrapping_sub(a);
+                        l_sounder_n += rows as u64;
+                    }
                     for s in s0..s1 {
-                        let t_tag = plan.t_tag0 + s as f64 * plan.dt_eff;
-                        let on1 = self.tag.clocks.modulation1(t_tag);
-                        let on2 = self.tag.clocks.modulation2(t_tag);
-                        st[s - s0] = on1 as u8 | ((on2 as u8) << 1);
+                        let row_off = (s - s0) * n_cols;
+                        let row = &mut base[row_off..row_off + n_cols];
+                        // a fresh cursor skipped past the sounder's lanes
+                        // is state-identical to the cursor the row path
+                        // hands the fault/front-end stages, so their draws
+                        // stay bit-equal
+                        let mut cursor = CounterRng::for_snapshot(key, plan.group_id, s as u32);
+                        cursor.skip_normals(lanes as usize);
+                        if self.faults.apply_burst(&mut cursor, row, direct_amp) {
+                            l_bursts += 1;
+                        }
+                        self.frontend.process(&mut cursor, row, full_scale);
                     }
-                    let t1 = telem.then(fastclock::ticks);
-                    if let Some(lanes) = self.sounder.estimate_prepared_counter_rows_into(
-                        states,
-                        &st[..rows],
-                        self.frontend.noise_floor,
-                        key,
-                        plan.group_id,
-                        s0 as u32,
-                        base,
-                    ) {
-                        l_eval_n += rows as u64;
-                        let t2 = telem.then(fastclock::ticks);
-                        if let (Some(a), Some(b)) = (t1, t2) {
-                            l_sounder_t += b.wrapping_sub(a);
-                            l_sounder_n += rows as u64;
-                        }
-                        for s in s0..s1 {
-                            let row_off = (s - s0) * n_cols;
-                            let row = &mut base[row_off..row_off + n_cols];
-                            // a fresh cursor skipped past the sounder's
-                            // lanes is state-identical to the cursor the
-                            // row path hands the fault/front-end stages,
-                            // so their draws stay bit-equal
-                            let mut cursor = CounterRng::for_snapshot(key, plan.group_id, s as u32);
-                            cursor.skip_normals(lanes as usize);
-                            if self.faults.apply_burst(&mut cursor, row, direct_amp) {
-                                l_bursts += 1;
-                            }
-                            self.frontend.process(&mut cursor, row, full_scale);
-                        }
-                        if let Some(b) = t2 {
-                            l_frontend_t += fastclock::ticks().wrapping_sub(b);
-                            l_frontend_n += rows as u64;
-                        }
-                        wide_done = true;
+                    if let Some(b) = t2 {
+                        l_frontend_t += fastclock::ticks().wrapping_sub(b);
+                        l_frontend_n += rows as u64;
                     }
+                    block_done = true;
                 }
             }
-            let mut truth = if has_movers && !wide_done {
+            let mut truth = if has_movers {
                 vec![Complex::ZERO; n_cols]
             } else {
                 Vec::new()
             };
             // row-at-a-time reference path (and the fallback for sounders
-            // without a wide entry): empty range when the plane call above
+            // without a block entry): empty when the block call above
             // already synthesized the chunk
-            let row_range = if wide_done { s0..s0 } else { s0..s1 };
+            let row_range = if block_done { s0..s0 } else { s0..s1 };
             for s in row_range {
                 let row_off = (s - s0) * n_cols;
                 let t_reader = plan.t_reader0 + s as f64 * t_snap;
@@ -1147,167 +1112,11 @@ impl Simulation {
 
         let workers = self.synth_workers.unwrap_or_else(parallel::default_workers);
 
-        if adaptive_active {
-            let spec = fused.expect("adaptive budgets ride the fused path");
-
-            // Phase A: every group synthesizes its prefix (wide where the
-            // sounder supports it — same synth_rows unit as exact mode,
-            // so the prefix rows are bitwise what exact mode would put
-            // there).
-            let a_chunk = chunk_cap.min(min_snapshots);
-            let a_per_group = min_snapshots.div_ceil(a_chunk);
-            let prefix_worker = |ci: usize| {
-                let g = ci / a_per_group;
-                let c = ci % a_per_group;
-                synth_rows(g, c * a_chunk, ((c + 1) * a_chunk).min(min_snapshots));
-            };
-            parallel::run_chunks(workers, n_groups * a_per_group, &prefix_worker);
-
-            // SNR decisions on the calling thread, from counter-addressed
-            // rows — deterministic at any worker count. The prefix is not
-            // an integer number of modulation periods, so both the line
-            // and floor extraction use the least-squares basis.
-            let prefix_cfg = PhaseGroupConfig {
-                n_snapshots: min_snapshots,
-                method: ExtractionMethod::LeastSquares,
-                ..*spec.cfg
-            };
-            let probe_cfg = PhaseGroupConfig {
-                line1_hz: spec.cfg.line1_hz * 1.37,
-                line2_hz: spec.cfg.line1_hz * 2.61,
-                n_snapshots: min_snapshots,
-                method: ExtractionMethod::LeastSquares,
-                ..*spec.cfg
-            };
-            let group_rows = |g: usize, rows: usize| -> &[Complex] {
-                // Safety: every synthesis pass over these rows has joined.
-                unsafe {
-                    std::slice::from_raw_parts(
-                        (region_ptr as *const Complex).add(g * n * n_cols),
-                        rows * n_cols,
-                    )
-                }
-            };
-            let t0 = telem.then(fastclock::ticks);
-            let floor_lines = extract_lines_quiet(
-                &probe_cfg,
-                SnapshotView::from_flat(n_cols, group_rows(0, min_snapshots)),
-                spec.first_start,
-            );
-            let floor_power = floor_lines.mean_power();
-            let mut lines_out: Vec<Option<GroupLines>> = (0..n_groups).map(|_| None).collect();
-            let mut pending: Vec<usize> = Vec::new();
-            let mut extracted = 1_u64;
-            for (g, slot) in lines_out.iter_mut().enumerate() {
-                let lines = extract_lines_quiet(
-                    &prefix_cfg,
-                    SnapshotView::from_flat(n_cols, group_rows(g, min_snapshots)),
-                    spec.first_start + g as f64 * group_s,
-                );
-                extracted += 1;
-                let line_db = 10.0 * (lines.mean_power() / floor_power.max(1e-300)).log10();
-                if line_db >= self.adaptive.target_snr_db {
-                    *slot = Some(lines);
-                } else {
-                    pending.push(g);
-                }
-            }
-            if let Some(t) = t0 {
-                extract_ticks.fetch_add(fastclock::ticks().wrapping_sub(t), Ordering::Relaxed);
-            }
-
-            // Phase B: below-target groups finish their full budget and
-            // re-extract over the whole window exactly as exact mode
-            // does (default method, all n rows).
-            let rem = n - min_snapshots;
-            if !pending.is_empty() {
-                let b_chunk = chunk_cap.min(rem);
-                let b_per_group = rem.div_ceil(b_chunk);
-                let pending_ref = &pending;
-                let tail_worker = |ci: usize| {
-                    let g = pending_ref[ci / b_per_group];
-                    let c = ci % b_per_group;
-                    synth_rows(
-                        g,
-                        min_snapshots + c * b_chunk,
-                        (min_snapshots + (c + 1) * b_chunk).min(n),
-                    );
-                };
-                parallel::run_chunks(workers, pending.len() * b_per_group, &tail_worker);
-                let t1 = telem.then(fastclock::ticks);
-                for &g in &pending {
-                    lines_out[g] = Some(extract_lines_quiet(
-                        spec.cfg,
-                        SnapshotView::from_flat(n_cols, group_rows(g, n)),
-                        spec.first_start + g as f64 * group_s,
-                    ));
-                    extracted += 1;
-                }
-                if let Some(t) = t1 {
-                    extract_ticks.fetch_add(fastclock::ticks().wrapping_sub(t), Ordering::Relaxed);
-                }
-            }
-            extract_n.fetch_add(extracted, Ordering::Relaxed);
-
-            let lines: Vec<GroupLines> = lines_out
-                .into_iter()
-                .map(|l| l.expect("every group extracted adaptively"))
-                .collect();
-            let floor = spec.floor_cfg.map(|_| floor_lines);
-
-            let mut injector = FaultInjector::new(self.faults);
-            injector.add_external(0, bursts.into_inner());
-
-            let budget = n_groups * n;
-            let synthesized = n_groups * min_snapshots + pending.len() * rem;
-            if telem {
-                let ns_per_tick = fastclock::ns_per_tick();
-                wiforce_telemetry::span_bulk(
-                    "pipeline.channel_eval",
-                    eval_n.into_inner(),
-                    eval_ticks.into_inner() as f64 * ns_per_tick,
-                );
-                wiforce_telemetry::span_bulk(
-                    "pipeline.sounder",
-                    sounder_n.into_inner(),
-                    sounder_ticks.into_inner() as f64 * ns_per_tick,
-                );
-                wiforce_telemetry::span_bulk(
-                    "pipeline.frontend",
-                    frontend_n.into_inner(),
-                    frontend_ticks.into_inner() as f64 * ns_per_tick,
-                );
-                wiforce_telemetry::counter!("pipeline.snapshots_total", budget as u64);
-                wiforce_telemetry::counter!("pipeline.snapshots_synthesized", synthesized as u64);
-                wiforce_telemetry::gauge!("pipeline.snapshot_yield", 1.0);
-                wiforce_telemetry::gauge!(
-                    "pipeline.adaptive_snapshot_yield",
-                    synthesized as f64 / budget as f64
-                );
-                wiforce_telemetry::counter!(
-                    "pipeline.adaptive_groups_early_exit",
-                    (n_groups - pending.len()) as u64
-                );
-                wiforce_telemetry::span_bulk(
-                    "harmonics.extract_lines",
-                    extract_n.into_inner(),
-                    extract_ticks.into_inner() as f64 * ns_per_tick,
-                );
-                for l in &lines {
-                    emit_extraction_telemetry(spec.cfg, l);
-                }
-                if let (Some(fc), Some(fl)) = (spec.floor_cfg, floor.as_ref()) {
-                    emit_extraction_telemetry(fc, fl);
-                }
-            }
-            return (lines, floor);
-        }
-
         let worker = |ci: usize| {
             let g = ci / chunks_per_group;
             let c = ci % chunks_per_group;
-            let s0 = c * chunk_rows;
-            let s1 = ((c + 1) * chunk_rows).min(n);
+            let s0 = c * rows_per_chunk;
+            let s1 = ((c + 1) * rows_per_chunk).min(n);
             synth_rows(g, s0, s1);
             let plan = &plans[g];
             // fused streaming: the worker that retires a group's last
@@ -1365,7 +1174,7 @@ impl Simulation {
         parallel::run_chunks(workers, n_chunks, &worker);
 
         // fold fault tallies through an injector so counts and telemetry
-        // counters match the sequential path exactly (including the
+        // counters match `run_snapshots_into` exactly (including the
         // declare-0 behaviour on clean runs)
         let total_dropped = dropped.into_inner();
         let mut injector = FaultInjector::new(self.faults);
@@ -1412,13 +1221,9 @@ impl Simulation {
                     yielded as f64 / total as f64
                 }
             );
-            // exact mode always synthesizes the full budget — report the
-            // unit yield so the adaptive gauge is present in every run
-            wiforce_telemetry::gauge!("pipeline.adaptive_snapshot_yield", 1.0);
             // deterministic re-emission of the extraction telemetry the
             // workers withheld: one bulk span for the thread time, then
-            // the per-group counters/gauges in group order (floor last,
-            // matching the sequential call order in measure_phases)
+            // the per-group counters/gauges in group order, floor last
             if let Some(spec) = fused {
                 wiforce_telemetry::span_bulk(
                     "harmonics.extract_lines",
@@ -1436,45 +1241,16 @@ impl Simulation {
         (lines, floor)
     }
 
-    /// Simulates `n_groups` phase groups for a fixed contact state,
-    /// returning the extracted line values per group.
-    pub fn run_groups<R: Rng>(
-        &self,
-        contact: Option<&ContactState>,
-        n_groups: usize,
-        clock_state: &mut TagClock,
-        rng: &mut R,
-    ) -> Vec<GroupLines> {
-        self.run_groups_with_cfg(&self.group, contact, n_groups, clock_state, rng)
-    }
-
-    /// [`Self::run_groups`] with an explicit extraction configuration.
-    /// `cfg` must share `n_snapshots` and `snapshot_period_s` with
-    /// `self.group` (only the line frequencies and method may differ),
-    /// since the snapshot synthesis itself is driven by `self.group`.
-    fn run_groups_with_cfg<R: Rng>(
-        &self,
-        cfg: &PhaseGroupConfig,
-        contact: Option<&ContactState>,
-        n_groups: usize,
-        clock_state: &mut TagClock,
-        rng: &mut R,
-    ) -> Vec<GroupLines> {
-        debug_assert_eq!(cfg.n_snapshots, self.group.n_snapshots);
-        debug_assert_eq!(cfg.snapshot_period_s, self.group.snapshot_period_s);
-        let first_start = clock_state.reader_time_s();
-        let snapshots = self.run_snapshots(contact, n_groups, clock_state, rng);
-        let group_s = cfg.n_snapshots as f64 * cfg.snapshot_period_s;
-        (0..n_groups)
-            .map(|g| {
-                let chunk = snapshots.rows_view(g * cfg.n_snapshots, cfg.n_snapshots);
-                extract_lines(cfg, chunk, first_start + g as f64 * group_s)
-            })
-            .collect()
-    }
-
     /// Measures the differential phases of one press: runs no-touch
     /// reference groups, then touched groups, and combines (Eq. 4–5).
+    ///
+    /// One body serves both synthesis arms: each call's `(lines, floor)`
+    /// comes from [`Self::synth_lines_spectral`] when spectral synthesis
+    /// is enabled and [`Self::spectral_refusal`] finds no objection, and
+    /// from the counter row path ([`Self::synth_counter`], groups
+    /// synthesized in parallel and streamed straight into extraction)
+    /// otherwise. The only draws taken from `rng` are the clock phase and
+    /// the press key, so a press costs two sequential draws total.
     pub fn measure_phases<R: Rng>(
         &self,
         contact: Option<&ContactState>,
@@ -1482,28 +1258,55 @@ impl Simulation {
     ) -> Result<DiffPhases, WiForceError> {
         let _span = wiforce_telemetry::span!("pipeline.measure_phases");
         let mut clock = TagClock::new(rng);
-        if self.synth_spectral_enabled() && self.spectral_eligible() {
-            return self.measure_phases_spectral(contact, &mut clock, rng);
-        }
-        if self.counter_synth {
-            return self.measure_phases_counter(contact, &mut clock, rng);
-        }
-        // synthesize the reference snapshots once; both the tag lines and
-        // the off-line floor probe below read from this matrix, so the
-        // floor no longer costs a dedicated snapshot group per press
-        let first_start = clock.reader_time_s();
-        let ref_snaps = self.run_snapshots(None, self.reference_groups, &mut clock, rng);
-        let ref_group_s = self.group.n_snapshots as f64 * self.group.snapshot_period_s;
-        let mut refs: Vec<GroupLines> = (0..self.reference_groups)
-            .map(|g| {
-                let chunk = ref_snaps.rows_view(g * self.group.n_snapshots, self.group.n_snapshots);
-                extract_lines(&self.group, chunk, first_start + g as f64 * ref_group_s)
-            })
-            .collect();
+        let mut noise = PressNoise::from_rng(rng);
+        let spectral =
+            self.synth_spectral_enabled() && self.spectral_refusal(&self.faults).is_none();
+        // the subcarrier grid is press-invariant: compute it once and
+        // share it with both synthesis calls (and everything downstream)
+        let freqs = self.subcarrier_freqs_hz();
+        let group_s = self.group.n_snapshots as f64 * self.group.snapshot_period_s;
+        let mut scratch = SnapshotMatrix::default();
+        let mut synth = |contact: Option<&ContactState>,
+                         n_groups: usize,
+                         clock: &mut TagClock,
+                         spec: &FusedExtraction<'_>| {
+            if spectral {
+                self.synth_lines_spectral(&freqs, contact, n_groups, clock, &mut noise, spec)
+            } else {
+                scratch.clear();
+                self.synth_counter(
+                    &freqs,
+                    contact,
+                    n_groups,
+                    clock,
+                    &mut noise,
+                    &mut scratch,
+                    Some(spec),
+                    true,
+                )
+            }
+        };
+
+        // the off-line floor probe (1.37·fs and 2.61·fs) rides on the
+        // first reference group — on the row path it is extracted by the
+        // same worker that finishes that group's rows
+        let off_cfg = PhaseGroupConfig {
+            line1_hz: self.group.line1_hz * 1.37,
+            line2_hz: self.group.line1_hz * 2.61,
+            ..self.group
+        };
+        let ref_spec = FusedExtraction {
+            cfg: &self.group,
+            floor_cfg: Some(&off_cfg),
+            first_start: clock.reader_time_s(),
+        };
+        let (mut refs, floor_lines) = synth(None, self.reference_groups, &mut clock, &ref_spec);
+        let floor = floor_lines
+            .expect("floor probe rides on the first reference group")
+            .mean_power();
 
         // optional tag-clock tracking: estimate the constant line-frequency
         // offset from the reference groups' phase slope and de-rotate
-        let group_s = self.group.n_snapshots as f64 * self.group.snapshot_period_s;
         let df_hz = if self.track_tag_clock && refs.len() >= 2 {
             estimate_line_offset_hz(&refs, group_s)
         } else {
@@ -1517,21 +1320,7 @@ impl Simulation {
         let reference = average_lines(&refs);
 
         // tag-detection check: the reference line must stand above the
-        // quantization/noise floor, measured at off-line bins (1.37·fs and
-        // 2.61·fs) of the first reference group's own snapshots
-        let floor = {
-            let off_cfg = PhaseGroupConfig {
-                line1_hz: self.group.line1_hz * 1.37,
-                line2_hz: self.group.line1_hz * 2.61,
-                ..self.group
-            };
-            extract_lines(
-                &off_cfg,
-                ref_snaps.rows_view(0, self.group.n_snapshots),
-                first_start,
-            )
-            .mean_power()
-        };
+        // quantization/noise floor
         let line_db = 10.0 * (reference.mean_power() / floor.max(1e-300)).log10();
         wiforce_telemetry::gauge!("pipeline.line_to_floor_db", line_db);
         if line_db < 6.0 {
@@ -1541,7 +1330,12 @@ impl Simulation {
             });
         }
 
-        let mut meass = self.run_groups(contact, self.measure_groups, &mut clock, rng);
+        let meas_spec = FusedExtraction {
+            cfg: &self.group,
+            floor_cfg: None,
+            first_start: clock.reader_time_s(),
+        };
+        let (mut meass, _) = synth(contact, self.measure_groups, &mut clock, &meas_spec);
         if df_hz != 0.0 {
             for (g, lines) in meass.iter_mut().enumerate() {
                 let t = (self.reference_groups + g) as f64 * group_s;
@@ -1550,203 +1344,6 @@ impl Simulation {
         }
         // average the differential phases across measurement groups
         // (coherently, via the summed conj products)
-        let mut acc1 = Complex::ZERO;
-        let mut acc2 = Complex::ZERO;
-        let mut power = 0.0;
-        for m in &meass {
-            let d = differential(&reference, m, self.averaging);
-            acc1 += Complex::cis(d.dphi1_rad);
-            acc2 += Complex::cis(d.dphi2_rad);
-            power += d.line_power;
-        }
-        Ok(DiffPhases {
-            dphi1_rad: acc1.arg(),
-            dphi2_rad: acc2.arg(),
-            line_power: power / meass.len() as f64,
-        })
-    }
-
-    /// The counter-synthesis arm of [`Self::measure_phases`]: same
-    /// reference → floor-check → measurement structure, but groups
-    /// synthesize in parallel and stream straight into extraction. The
-    /// only draws taken from `rng` are the clock phase (by the caller)
-    /// and the press key, so a press costs two sequential draws total.
-    fn measure_phases_counter<R: Rng>(
-        &self,
-        contact: Option<&ContactState>,
-        clock: &mut TagClock,
-        rng: &mut R,
-    ) -> Result<DiffPhases, WiForceError> {
-        let mut noise = PressNoise::from_rng(rng);
-        // the subcarrier grid is press-invariant: compute it once and
-        // share it with both synthesis calls (and everything downstream)
-        let freqs = self.subcarrier_freqs_hz();
-        let group_s = self.group.n_snapshots as f64 * self.group.snapshot_period_s;
-        let mut scratch = SnapshotMatrix::default();
-
-        // the off-line floor probe (1.37·fs and 2.61·fs) fuses onto the
-        // first reference group — extracted by the same worker that
-        // finishes that group's rows
-        let off_cfg = PhaseGroupConfig {
-            line1_hz: self.group.line1_hz * 1.37,
-            line2_hz: self.group.line1_hz * 2.61,
-            ..self.group
-        };
-        let ref_spec = FusedExtraction {
-            cfg: &self.group,
-            floor_cfg: Some(&off_cfg),
-            first_start: clock.reader_time_s(),
-        };
-        let (mut refs, floor_lines) = self.synth_counter(
-            &freqs,
-            None,
-            self.reference_groups,
-            clock,
-            &mut noise,
-            &mut scratch,
-            Some(&ref_spec),
-        );
-        let floor = floor_lines
-            .expect("floor probe rides on the first reference group")
-            .mean_power();
-
-        let df_hz = if self.track_tag_clock && refs.len() >= 2 {
-            estimate_line_offset_hz(&refs, group_s)
-        } else {
-            0.0
-        };
-        if df_hz != 0.0 {
-            for (g, lines) in refs.iter_mut().enumerate() {
-                derotate(lines, df_hz, g as f64 * group_s);
-            }
-        }
-        let reference = average_lines(&refs);
-
-        let line_db = 10.0 * (reference.mean_power() / floor.max(1e-300)).log10();
-        wiforce_telemetry::gauge!("pipeline.line_to_floor_db", line_db);
-        if line_db < 6.0 {
-            wiforce_telemetry::counter!("pipeline.tag_not_detected", 1);
-            return Err(WiForceError::TagNotDetected {
-                line_to_floor_db: line_db,
-            });
-        }
-
-        scratch.clear();
-        let meas_spec = FusedExtraction {
-            cfg: &self.group,
-            floor_cfg: None,
-            first_start: clock.reader_time_s(),
-        };
-        let (mut meass, _) = self.synth_counter(
-            &freqs,
-            contact,
-            self.measure_groups,
-            clock,
-            &mut noise,
-            &mut scratch,
-            Some(&meas_spec),
-        );
-        if df_hz != 0.0 {
-            for (g, lines) in meass.iter_mut().enumerate() {
-                let t = (self.reference_groups + g) as f64 * group_s;
-                derotate(lines, df_hz, t);
-            }
-        }
-        let mut acc1 = Complex::ZERO;
-        let mut acc2 = Complex::ZERO;
-        let mut power = 0.0;
-        for m in &meass {
-            let d = differential(&reference, m, self.averaging);
-            acc1 += Complex::cis(d.dphi1_rad);
-            acc2 += Complex::cis(d.dphi2_rad);
-            power += d.line_power;
-        }
-        Ok(DiffPhases {
-            dphi1_rad: acc1.arg(),
-            dphi2_rad: acc2.arg(),
-            line_power: power / meass.len() as f64,
-        })
-    }
-
-    /// The spectral-synthesis arm of [`Self::measure_phases`]: identical
-    /// reference → floor-check → measurement structure to the counter
-    /// arm, but groups never materialize time-domain snapshots — their
-    /// lines come straight from [`Self::synth_lines_spectral`]. Per press
-    /// this costs four O(N) tag-state walks and a few hundred Philox
-    /// normals instead of ~2500 per-snapshot sounder evaluations and
-    /// FFTs.
-    fn measure_phases_spectral<R: Rng>(
-        &self,
-        contact: Option<&ContactState>,
-        clock: &mut TagClock,
-        rng: &mut R,
-    ) -> Result<DiffPhases, WiForceError> {
-        let mut noise = PressNoise::from_rng(rng);
-        let freqs = self.subcarrier_freqs_hz();
-        let group_s = self.group.n_snapshots as f64 * self.group.snapshot_period_s;
-
-        let off_cfg = PhaseGroupConfig {
-            line1_hz: self.group.line1_hz * 1.37,
-            line2_hz: self.group.line1_hz * 2.61,
-            ..self.group
-        };
-        let ref_spec = FusedExtraction {
-            cfg: &self.group,
-            floor_cfg: Some(&off_cfg),
-            first_start: clock.reader_time_s(),
-        };
-        let (mut refs, floor_lines) = self.synth_lines_spectral(
-            &freqs,
-            None,
-            self.reference_groups,
-            clock,
-            &mut noise,
-            &ref_spec,
-        );
-        let floor = floor_lines
-            .expect("floor probe rides on the first reference group")
-            .mean_power();
-
-        let df_hz = if self.track_tag_clock && refs.len() >= 2 {
-            estimate_line_offset_hz(&refs, group_s)
-        } else {
-            0.0
-        };
-        if df_hz != 0.0 {
-            for (g, lines) in refs.iter_mut().enumerate() {
-                derotate(lines, df_hz, g as f64 * group_s);
-            }
-        }
-        let reference = average_lines(&refs);
-
-        let line_db = 10.0 * (reference.mean_power() / floor.max(1e-300)).log10();
-        wiforce_telemetry::gauge!("pipeline.line_to_floor_db", line_db);
-        if line_db < 6.0 {
-            wiforce_telemetry::counter!("pipeline.tag_not_detected", 1);
-            return Err(WiForceError::TagNotDetected {
-                line_to_floor_db: line_db,
-            });
-        }
-
-        let meas_spec = FusedExtraction {
-            cfg: &self.group,
-            floor_cfg: None,
-            first_start: clock.reader_time_s(),
-        };
-        let (mut meass, _) = self.synth_lines_spectral(
-            &freqs,
-            contact,
-            self.measure_groups,
-            clock,
-            &mut noise,
-            &meas_spec,
-        );
-        if df_hz != 0.0 {
-            for (g, lines) in meass.iter_mut().enumerate() {
-                let t = (self.reference_groups + g) as f64 * group_s;
-                derotate(lines, df_hz, t);
-            }
-        }
         let mut acc1 = Complex::ZERO;
         let mut acc2 = Complex::ZERO;
         let mut power = 0.0;
@@ -2135,59 +1732,6 @@ impl Simulation {
     }
 }
 
-/// Adaptive snapshot-budget policy for the fused counter-synthesis path.
-///
-/// A phase group's spectral lines converge long before the full snapshot
-/// budget on clean channels: the line SNR grows with integration length,
-/// and past the paper's detection floor the extra snapshots only shave
-/// phase noise already far below the mechanical jitter that dominates the
-/// location error. With the budget enabled, each group first synthesizes
-/// a `min_snapshots` prefix; its lines (least-squares extraction — the
-/// prefix is not an integer number of modulation periods, so the DFT
-/// bins are not orthogonal over it) are compared against the group-0
-/// off-line floor probe, and a group whose line-to-floor ratio clears
-/// `target_snr_db` stops there. Groups below the bar synthesize the rest
-/// of the budget and extract exactly as the exact-mode path does.
-///
-/// Decisions are made on the calling thread from counter-addressed rows,
-/// so results stay bit-invariant across worker counts. Only active on the
-/// fused path with a static prepared scene and no snapshot-drop faults.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveBudget {
-    /// Master switch (off by default — exact mode).
-    pub enabled: bool,
-    /// Prefix length every group synthesizes before the SNR decision.
-    /// Also the floor the early exit can never go below.
-    pub min_snapshots: usize,
-    /// Line-to-floor ratio (dB) a prefix must clear to stop early. Keep
-    /// this comfortably above the pipeline's 6 dB detection threshold:
-    /// at ≥15 dB the residual line phase noise is an order of magnitude
-    /// below the paper's mechanical jitter floor.
-    pub target_snr_db: f64,
-}
-
-impl AdaptiveBudget {
-    /// Exact mode: every group synthesizes its full budget.
-    pub fn off() -> Self {
-        AdaptiveBudget {
-            enabled: false,
-            min_snapshots: 0,
-            target_snr_db: 0.0,
-        }
-    }
-
-    /// The default adaptive policy: a 256-snapshot prefix (~40% of the
-    /// paper's 625-snapshot group, ≈15 modulation periods at 1 kHz) and a
-    /// 15 dB target over the quantization floor.
-    pub fn wiforce() -> Self {
-        AdaptiveBudget {
-            enabled: true,
-            min_snapshots: 256,
-            target_snr_db: 15.0,
-        }
-    }
-}
-
 /// The per-press handle on the counter-addressed noise stream: one Philox
 /// key (drawn once per press from the caller's `Rng`) plus the running
 /// group index. Every Gaussian the synthesis consumes is a pure function
@@ -2221,6 +1765,13 @@ impl PressNoise {
     }
 }
 
+/// Snapshot rows per work item of the counter path (one plane call on the
+/// block path), and per block on the batch block and cross-stream
+/// superposition paths. Every noise draw is addressed by coordinates or
+/// drawn in row order, so any width produces the same bits; 64 splits a
+/// 625-snapshot group into ten chunks for the worker pool.
+pub(crate) const SYNTH_CHUNK_ROWS: usize = 64;
+
 /// Memo salt distinguishing the spectral per-state backscatter spectra
 /// from the other `response_tables` entries built on the same plane token
 /// (`b"spectbl1"` as a u64).
@@ -2245,7 +1796,9 @@ struct GroupPlan {
     dt_eff: f64,
 }
 
-/// Streaming-extraction request for [`Simulation::synth_counter`].
+/// What one synthesis call of [`Simulation::measure_phases`] extracts:
+/// streamed from the rows on the counter path, generated directly on the
+/// spectral path.
 struct FusedExtraction<'a> {
     cfg: &'a PhaseGroupConfig,
     /// Off-line floor probe configuration, extracted from group 0's rows
@@ -2394,6 +1947,7 @@ fn tag_reflection_for_states(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harmonics::extract_lines;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -2625,6 +2179,77 @@ mod tests {
     }
 
     #[test]
+    fn block_synthesis_matches_row_path_bitwise() {
+        // the plane-kernel block path must be bitwise identical to the
+        // row-at-a-time reference — clean, under burst faults (cursor
+        // repositioning after the plane fill), with snapshot drops
+        // (blocks fall back to rows), and with movers (no prepared
+        // states, rows throughout) — at 1/4/8 workers, for the raw
+        // snapshots and for the fused extraction's lines
+        let mut bursty = fast_sim(0.9e9);
+        bursty.faults = wiforce_channel::faults::FaultConfig {
+            burst_prob: 0.2,
+            ..wiforce_channel::faults::FaultConfig::none()
+        };
+        let mut faulty = fast_sim(0.9e9);
+        faulty.faults = wiforce_channel::faults::FaultConfig::saturating();
+        let mut moving = fast_sim(0.9e9);
+        moving
+            .scene
+            .movers
+            .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
+        for (name, base) in [
+            ("clean", fast_sim(0.9e9)),
+            ("bursty", bursty),
+            ("faulty", faulty),
+            ("movers", moving),
+        ] {
+            for workers in [1usize, 4, 8] {
+                let run = |blocks: bool| {
+                    let mut sim = base.clone();
+                    sim.synth_workers = Some(workers);
+                    let mut rng = StdRng::seed_from_u64(21);
+                    let mut clock = TagClock::new(&mut rng);
+                    let mut noise = PressNoise::from_seed(0xD1CE_0000 + workers as u64);
+                    let contact = sim.contact_for(3.0, 0.030);
+                    let freqs = sim.subcarrier_freqs_hz();
+                    let spec = FusedExtraction {
+                        cfg: &sim.group,
+                        floor_cfg: None,
+                        first_start: clock.reader_time_s(),
+                    };
+                    let mut out = SnapshotMatrix::default();
+                    let (lines, _) = sim.synth_counter(
+                        &freqs,
+                        contact.as_ref(),
+                        3,
+                        &mut clock,
+                        &mut noise,
+                        &mut out,
+                        Some(&spec),
+                        blocks,
+                    );
+                    (out, lines)
+                };
+                let (wm, wl) = run(true);
+                let (rm, rl) = run(false);
+                assert_eq!(wm.n_rows(), rm.n_rows());
+                for (i, (x, y)) in wm.as_slice().iter().zip(rm.as_slice()).enumerate() {
+                    assert_eq!(x.re.to_bits(), y.re.to_bits(), "{name} w{workers} at {i}");
+                    assert_eq!(x.im.to_bits(), y.im.to_bits(), "{name} w{workers} at {i}");
+                }
+                assert_eq!(wl.len(), rl.len());
+                for (a, b) in wl.iter().zip(&rl) {
+                    for (x, y) in a.p1.iter().chain(&a.p2).zip(b.p1.iter().chain(&b.p2)) {
+                        assert_eq!(x.re.to_bits(), y.re.to_bits(), "{name} w{workers} lines");
+                        assert_eq!(x.im.to_bits(), y.im.to_bits(), "{name} w{workers} lines");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn counter_synthesis_is_a_pure_function_of_the_key() {
         let sim = fast_sim(0.9e9);
         let run = |key: u64| {
@@ -2678,225 +2303,6 @@ mod tests {
                 assert_eq!(a.im.to_bits(), b.im.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn wide_synthesis_matches_row_path_bitwise() {
-        // the tentpole fixture: exact-mode wide (plane-kernel) synthesis
-        // must be bitwise identical to the row-at-a-time path — clean,
-        // under burst faults (cursor repositioning after the plane fill),
-        // with snapshot drops (wide falls back to rows), and with movers
-        // (no prepared states, row path throughout) — at 1/4/8 workers.
-        let mut bursty = fast_sim(0.9e9);
-        bursty.faults = wiforce_channel::faults::FaultConfig {
-            burst_prob: 0.2,
-            ..wiforce_channel::faults::FaultConfig::none()
-        };
-        let mut faulty = fast_sim(0.9e9);
-        faulty.faults = wiforce_channel::faults::FaultConfig::saturating();
-        let mut moving = fast_sim(0.9e9);
-        moving
-            .scene
-            .movers
-            .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
-        for (name, base) in [
-            ("clean", fast_sim(0.9e9)),
-            ("bursty", bursty),
-            ("faulty", faulty),
-            ("movers", moving),
-        ] {
-            for workers in [1usize, 4, 8] {
-                let run = |wide: bool| {
-                    let mut sim = base.clone();
-                    sim.synth_workers = Some(workers);
-                    sim.synth_wide = Some(wide);
-                    let mut rng = StdRng::seed_from_u64(21);
-                    let mut clock = TagClock::new(&mut rng);
-                    let mut noise = PressNoise::from_seed(0xD1CE_0000 + workers as u64);
-                    let contact = sim.contact_for(3.0, 0.030);
-                    sim.run_snapshots_counter(contact.as_ref(), 3, &mut clock, &mut noise)
-                };
-                let w = run(true);
-                let r = run(false);
-                assert_eq!(w.n_rows(), r.n_rows());
-                for (i, (x, y)) in w.as_slice().iter().zip(r.as_slice()).enumerate() {
-                    assert_eq!(x.re.to_bits(), y.re.to_bits(), "{name} w{workers} at {i}");
-                    assert_eq!(x.im.to_bits(), y.im.to_bits(), "{name} w{workers} at {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wide_fused_lines_match_row_path_bitwise() {
-        // the fused synth→spectrum stream must be wide/row agnostic too
-        // (the extracted lines are functions of the synthesized bits)
-        let contact_sim = fast_sim(0.9e9);
-        let contact = contact_sim.contact_for(4.0, 0.040);
-        let run = |wide: bool| {
-            let mut sim = fast_sim(0.9e9);
-            sim.synth_workers = Some(4);
-            sim.synth_wide = Some(wide);
-            let mut rng = StdRng::seed_from_u64(23);
-            let mut clock = TagClock::new(&mut rng);
-            let mut noise = PressNoise::from_seed(0xBEEF);
-            sim.run_groups_counter(contact.as_ref(), 3, &mut clock, &mut noise)
-        };
-        let w = run(true);
-        let r = run(false);
-        assert_eq!(w.len(), r.len());
-        for (a, b) in w.iter().zip(&r) {
-            for (x, y) in a.p1.iter().chain(&a.p2).zip(b.p1.iter().chain(&b.p2)) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits());
-                assert_eq!(x.im.to_bits(), y.im.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_budget_never_undercuts_the_snr_floor() {
-        // property: a group stops early only when its prefix lines clear
-        // the SNR target over the group-0 floor probe — recomputed here
-        // from the identical (counter-addressed) rows the engine saw; and
-        // the returned lines are bitwise the prefix-LS extraction for
-        // early-exit groups and the full exact-mode extraction otherwise.
-        let n_groups = 4;
-        let base = fast_sim(0.9e9);
-        let contact = base.contact_for(4.0, 0.040);
-
-        // row-path full synthesis of the same press (exact mode is
-        // bitwise wide/row invariant, so these are the adaptive prefix
-        // rows too)
-        let mut exact = base.clone();
-        exact.synth_workers = Some(4);
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut clock = TagClock::new(&mut rng);
-        let mut noise = PressNoise::from_seed(0xADA9);
-        let first_start = clock.reader_time_s();
-        let snaps = exact.run_snapshots_counter(contact.as_ref(), n_groups, &mut clock, &mut noise);
-
-        let policy = AdaptiveBudget::wiforce();
-        let min = policy.min_snapshots;
-        let n = base.group.n_snapshots;
-        let group_s = n as f64 * base.group.snapshot_period_s;
-        let prefix_cfg = PhaseGroupConfig {
-            n_snapshots: min,
-            method: ExtractionMethod::LeastSquares,
-            ..base.group
-        };
-        let probe_cfg = PhaseGroupConfig {
-            line1_hz: base.group.line1_hz * 1.37,
-            line2_hz: base.group.line1_hz * 2.61,
-            n_snapshots: min,
-            method: ExtractionMethod::LeastSquares,
-            ..base.group
-        };
-        let floor = extract_lines(&probe_cfg, snaps.rows_view(0, min), first_start).mean_power();
-
-        for workers in [1usize, 8] {
-            let mut sim = base.clone();
-            sim.synth_workers = Some(workers);
-            sim.adaptive = policy;
-            let mut rng = StdRng::seed_from_u64(29);
-            let mut clock = TagClock::new(&mut rng);
-            let mut noise = PressNoise::from_seed(0xADA9);
-            let lines = sim.run_groups_counter(contact.as_ref(), n_groups, &mut clock, &mut noise);
-            assert_eq!(lines.len(), n_groups);
-            for (g, got) in lines.iter().enumerate() {
-                let start = first_start + g as f64 * group_s;
-                let prefix = extract_lines(&prefix_cfg, snaps.rows_view(g * n, min), start);
-                let db = 10.0 * (prefix.mean_power() / floor.max(1e-300)).log10();
-                let want = if db >= policy.target_snr_db {
-                    prefix // early exit: never below the min-snapshot floor
-                } else {
-                    extract_lines(&base.group, snaps.rows_view(g * n, n), start)
-                };
-                for (x, y) in got
-                    .p1
-                    .iter()
-                    .chain(&got.p2)
-                    .zip(want.p1.iter().chain(&want.p2))
-                {
-                    assert_eq!(
-                        x.re.to_bits(),
-                        y.re.to_bits(),
-                        "group {g} workers {workers}"
-                    );
-                    assert_eq!(
-                        x.im.to_bits(),
-                        y.im.to_bits(),
-                        "group {g} workers {workers}"
-                    );
-                }
-            }
-        }
-
-        // an unreachable target forces every group through Phase B: the
-        // output must then be bitwise the exact-mode fused extraction
-        let mut sim = base.clone();
-        sim.synth_workers = Some(4);
-        sim.adaptive = AdaptiveBudget {
-            target_snr_db: f64::INFINITY,
-            ..policy
-        };
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut clock = TagClock::new(&mut rng);
-        let mut noise = PressNoise::from_seed(0xADA9);
-        let full = sim.run_groups_counter(contact.as_ref(), n_groups, &mut clock, &mut noise);
-        for (g, got) in full.iter().enumerate() {
-            let start = first_start + g as f64 * group_s;
-            let want = extract_lines(&base.group, snaps.rows_view(g * n, n), start);
-            for (x, y) in got
-                .p1
-                .iter()
-                .chain(&got.p2)
-                .zip(want.p1.iter().chain(&want.p2))
-            {
-                assert_eq!(x.re.to_bits(), y.re.to_bits(), "phase-B group {g}");
-                assert_eq!(x.im.to_bits(), y.im.to_bits(), "phase-B group {g}");
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_budget_meets_the_accuracy_gate() {
-        // the accuracy-gated fixture: adaptive mode must keep press
-        // estimation inside the seed CDF envelope at each force tier
-        // (location within 5 mm, force within 1 N — the same gates the
-        // exact-mode end_to_end test pins)
-        let mut sim = fast_sim(2.4e9);
-        sim.adaptive = AdaptiveBudget::wiforce();
-        let model = sim.vna_calibration().unwrap();
-        let mut rng = StdRng::seed_from_u64(31);
-        for (force, loc) in [(2.0, 0.030), (4.0, 0.040), (6.0, 0.050)] {
-            let r = sim.measure_press(&model, force, loc, &mut rng).unwrap();
-            assert!(r.touched);
-            assert!(
-                (r.force_n - force).abs() < 1.0,
-                "force {} at tier {force}",
-                r.force_n
-            );
-            assert!(
-                (r.location_m - loc).abs() < 5e-3,
-                "loc {} at tier {force} N",
-                r.location_m
-            );
-        }
-    }
-
-    #[test]
-    fn sequential_reference_path_still_tracks_vna() {
-        // the Rng-threaded path stays as the cross-check reference; it
-        // must keep producing the pre-counter results
-        let mut sim = fast_sim(0.9e9);
-        sim.counter_synth = false;
-        let mut rng = StdRng::seed_from_u64(11);
-        let (v1, v2) = sim.vna_phases(4.0, 0.040);
-        let contact = sim.contact_for(4.0, 0.040);
-        let w = sim.measure_phases(contact.as_ref(), &mut rng).unwrap();
-        let tol = 3.0f64.to_radians();
-        assert!((w.dphi1_rad - v1).abs() < tol, "{} vs {v1}", w.dphi1_rad);
-        assert!((w.dphi2_rad - v2).abs() < tol, "{} vs {v2}", w.dphi2_rad);
     }
 
     #[test]
@@ -3076,8 +2482,9 @@ mod tests {
         // time-domain paths are held to
         let mut sim = fast_sim(0.9e9);
         sim.synth_spectral = Some(true);
-        assert!(
-            sim.spectral_eligible(),
+        assert_eq!(
+            sim.spectral_refusal(&sim.faults),
+            None,
             "paper default must be spectral-eligible"
         );
         let (v1, v2) = sim.vna_phases(4.0, 0.040);
@@ -3092,16 +2499,15 @@ mod tests {
     #[test]
     fn spectral_path_is_bit_deterministic_across_dispatch_knobs() {
         // the spectral walk runs on the calling thread and draws only
-        // from counter cursors, so worker count, wide mode, and the
-        // channel cache must not move a single bit — and the press must
-        // differ from the counter path's realization (proof the dispatch
-        // actually took the spectral arm)
+        // from counter cursors, so neither worker count nor the channel
+        // cache may move a single bit — and the press must differ from
+        // the counter path's realization (proof the dispatch actually
+        // took the spectral arm)
         let contact = fast_sim(0.9e9).contact_for(3.0, 0.030);
-        let run = |spectral: bool, workers: usize, wide: bool, cache: bool| {
+        let run = |spectral: bool, workers: usize, cache: bool| {
             let mut sim = fast_sim(0.9e9);
             sim.synth_spectral = Some(spectral);
             sim.synth_workers = Some(workers);
-            sim.synth_wide = Some(wide);
             sim.use_channel_cache = cache;
             let mut rng = StdRng::seed_from_u64(77);
             let w = sim.measure_phases(contact.as_ref(), &mut rng).unwrap();
@@ -3111,22 +2517,22 @@ mod tests {
                 w.line_power.to_bits(),
             )
         };
-        let base = run(true, 1, false, true);
-        assert_eq!(base, run(true, 1, false, true), "same-seed repeat");
-        assert_eq!(base, run(true, 4, true, true), "workers/wide knobs");
-        assert_eq!(base, run(true, 8, false, false), "uncached channel");
+        let base = run(true, 1, true);
+        assert_eq!(base, run(true, 1, true), "same-seed repeat");
+        assert_eq!(base, run(true, 4, true), "worker count");
+        assert_eq!(base, run(true, 8, false), "uncached channel");
         assert_ne!(
             base,
-            run(false, 1, false, true),
+            run(false, 1, true),
             "spectral press must be a distinct realization from counter"
         );
     }
 
     #[test]
     fn spectral_dispatch_falls_back_when_ineligible() {
-        // movers, faults, and adaptive budgets disqualify the spectral
-        // model; the dispatch must silently take the bit-pinned counter
-        // path so enabling WIFORCE_SYNTH_SPECTRAL is always safe
+        // movers and faults disqualify the spectral model; the dispatch
+        // must take the bit-pinned counter path so enabling
+        // WIFORCE_SYNTH_SPECTRAL is always safe
         let mut moving = fast_sim(0.9e9);
         moving
             .scene
@@ -3137,11 +2543,11 @@ mod tests {
             burst_prob: 0.2,
             ..wiforce_channel::faults::FaultConfig::none()
         };
-        for (name, base) in [("movers", moving), ("bursty", bursty)] {
+        for (name, base) in [("moving_scene", moving), ("burst_faults", bursty)] {
             let run = |spectral: bool| {
                 let mut sim = base.clone();
                 sim.synth_spectral = Some(spectral);
-                assert!(!sim.spectral_eligible(), "{name} must be ineligible");
+                assert_eq!(sim.spectral_refusal(&sim.faults), Some(name));
                 let mut rng = StdRng::seed_from_u64(13);
                 let contact = sim.contact_for(3.0, 0.030);
                 let w = sim.measure_phases(contact.as_ref(), &mut rng).unwrap();
@@ -3152,6 +2558,28 @@ mod tests {
     }
 
     #[test]
+    fn spectral_refusal_names_the_first_failing_condition() {
+        // the predicate judges the fault regime it is handed, not the
+        // simulation's own — batch readers carry their own faults
+        let sim = fast_sim(0.9e9);
+        assert_eq!(sim.spectral_refusal(&sim.faults), None);
+        let drops = wiforce_channel::faults::FaultConfig {
+            snapshot_drop_prob: 0.1,
+            burst_prob: 0.1,
+            ..wiforce_channel::faults::FaultConfig::none()
+        };
+        assert_eq!(sim.spectral_refusal(&drops), Some("snapshot_drops"));
+        let mut ls = fast_sim(0.9e9);
+        ls.group.method = ExtractionMethod::LeastSquares;
+        assert_eq!(ls.spectral_refusal(&ls.faults), Some("extraction_method"));
+        let fmcw = fast_sim(0.9e9).with_fmcw_sounder();
+        assert_eq!(
+            fmcw.spectral_refusal(&fmcw.faults),
+            Some("sounder_config_unhashable")
+        );
+    }
+
+    #[test]
     fn spectral_floor_probe_detects_missing_tag() {
         // §5.2 detection failure must survive the spectral floor probe:
         // without the metal plate the line-to-floor margin collapses even
@@ -3159,7 +2587,7 @@ mod tests {
         let mut sim = fast_sim(0.9e9);
         sim.scene = wiforce_channel::Scene::tissue_phantom(0.9e9, 0.0);
         sim.synth_spectral = Some(true);
-        assert!(sim.spectral_eligible());
+        assert_eq!(sim.spectral_refusal(&sim.faults), None);
         let mut rng = StdRng::seed_from_u64(9);
         let res = sim.measure_phases(None, &mut rng);
         assert!(
@@ -3196,7 +2624,7 @@ mod tests {
         sim.frontend.phase_jitter_rad = 0.0; // isolate additive noise
         sim.frontend.adc_enob_bits = 0; // no quantization term
         sim.tag_clock_wander_ppm = 0.0; // same state walk for every key
-        assert!(sim.spectral_eligible());
+        assert_eq!(sim.spectral_refusal(&sim.faults), None);
         let freqs = sim.subcarrier_freqs_hz();
         let n = sim.group.n_snapshots;
         let t_snap = sim.group.snapshot_period_s;

@@ -21,6 +21,10 @@ use wiforce_dsp::{Complex, SnapshotMatrix};
 
 const MAGIC: &[u8; 4] = b"WIFS";
 const VERSION: u32 = 1;
+/// Magic, version, period, subcarrier and snapshot counts.
+const HEADER_BYTES: u64 = 4 + 4 + 8 + 4 + 4;
+/// One complex sample: two little-endian `f64`s.
+const CELL_BYTES: u64 = 16;
 
 /// A recorded channel-estimate stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,8 +87,14 @@ impl Recording {
     }
 
     /// Reads a `.wifs` file.
+    ///
+    /// The header's dimensions are checked against the bytes the file
+    /// actually holds before anything is allocated, and every sample
+    /// must be finite; violations are `InvalidData` errors.
     pub fn load(path: &Path) -> io::Result<Self> {
-        let mut r = BufReader::new(File::open(path)?);
+        let file = File::open(path)?;
+        let file_len = file.metadata()?.len();
+        let mut r = BufReader::new(file);
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
@@ -115,10 +125,28 @@ impl Recording {
                 "implausible dimensions",
             ));
         }
-        let mut data = Vec::with_capacity(n * k);
-        for _ in 0..n * k {
+        let cells = n * k;
+        let body_len = file_len.saturating_sub(HEADER_BYTES);
+        if cells as u64 * CELL_BYTES > body_len {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("header claims {cells} samples but the file holds {body_len} sample bytes"),
+            ));
+        }
+        let mut data = Vec::with_capacity(cells);
+        for i in 0..cells {
             let re = read_f64(&mut r)?;
             let im = read_f64(&mut r)?;
+            if !(re.is_finite() && im.is_finite()) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "non-finite sample at snapshot {}, subcarrier {}",
+                        i / k,
+                        i % k
+                    ),
+                ));
+            }
             data.push(Complex::new(re, im));
         }
         let snapshots = SnapshotMatrix::from_flat(k.max(1), data);
@@ -189,6 +217,35 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
         assert!(Recording::load(&path).is_err());
+    }
+
+    #[test]
+    fn rejects_header_larger_than_file() {
+        // a 24-byte header claiming 2^14 × 2^14 cells (4 GiB of samples)
+        // must be refused before any reservation, not after an EOF
+        let path = tmp("oversized.wifs");
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&57.6e-6f64.to_le_bytes());
+        bytes.extend_from_slice(&(1u32 << 14).to_le_bytes());
+        bytes.extend_from_slice(&(1u32 << 14).to_le_bytes());
+        assert_eq!(bytes.len() as u64, HEADER_BYTES);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Recording::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn rejects_non_finite_samples() {
+        for (name, bad) in [("nan.wifs", f64::NAN), ("inf.wifs", f64::INFINITY)] {
+            let path = tmp(name);
+            let mut rec = sample();
+            rec.snapshots.row_mut(3)[2].im = bad;
+            rec.save(&path).unwrap();
+            let err = Recording::load(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
     }
 
     #[test]

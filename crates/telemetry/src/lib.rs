@@ -581,17 +581,22 @@ macro_rules! observe {
 mod tests {
     use super::*;
 
-    /// Serializes access to the global enable flag across tests.
-    fn with_enabled<T>(f: impl FnOnce() -> T) -> T {
+    /// Runs `f` with the global enable flag set to `on`, serialized
+    /// against every other test that touches the flag.
+    fn with_flag<T>(on: bool, f: impl FnOnce() -> T) -> T {
         use std::sync::Mutex;
         static LOCK: Mutex<()> = Mutex::new(());
-        let _g = LOCK.lock().unwrap();
+        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset();
-        set_enabled(true);
+        set_enabled(on);
         let out = f();
         set_enabled(false);
         reset();
         out
+    }
+
+    fn with_enabled<T>(f: impl FnOnce() -> T) -> T {
+        with_flag(true, f)
     }
 
     #[test]
@@ -613,15 +618,16 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        reset();
-        set_enabled(false);
-        counter("c", 3);
-        gauge("g", 1.5);
-        observe("o", 2.0);
-        {
-            let _s = span!("s");
-        }
-        assert!(take().is_empty());
+        let snap = with_flag(false, || {
+            counter("c", 3);
+            gauge("g", 1.5);
+            observe("o", 2.0);
+            {
+                let _s = span!("s");
+            }
+            take()
+        });
+        assert!(snap.is_empty());
     }
 
     #[test]
@@ -660,12 +666,13 @@ mod tests {
 
     #[test]
     fn owned_names_noop_while_disabled() {
-        reset();
-        set_enabled(false);
-        counter_owned("c".into(), 1);
-        gauge_owned("g".into(), 1.0);
-        observe_owned("o".into(), 1.0);
-        assert!(take().is_empty());
+        let snap = with_flag(false, || {
+            counter_owned("c".into(), 1);
+            gauge_owned("g".into(), 1.0);
+            observe_owned("o".into(), 1.0);
+            take()
+        });
+        assert!(snap.is_empty());
     }
 
     #[test]

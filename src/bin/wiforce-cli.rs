@@ -137,7 +137,7 @@ fn usage() -> &'static str {
      serve/trace/metrics: --streams N  --presses N  --readers N  --workers N  --queue N\n\
      \x20       --faults none|harsh|saturating  --overflow stall|drop-newest\n\
      \x20       --throttle-ms N  --watch 1  --cross-stream 1\n\
-     \x20       --synth-mode auto|spectral|wide|row  pin the synthesis arm\n\
+     \x20       --synth-mode auto|spectral|row  pin the synthesis arm\n\
      serve: --trace PATH  --metrics PATH    trace: --out PATH    metrics: --out PATH"
 }
 
@@ -531,22 +531,16 @@ fn cmd_health(args: &Args) -> Result<(), String> {
 fn run_serve_workload(args: &Args) -> Result<(BatchReport, usize, usize), String> {
     let mut sim = sim_from(args)?;
     // pin the synthesis arm regardless of WIFORCE_SYNTH_* env defaults;
-    // "auto" keeps env/heuristic selection. spectral falls back to the
-    // time-domain arm per-reader when the scene is ineligible.
+    // "auto" keeps env/heuristic selection; "row" is the time-domain
+    // counter path. spectral falls back to the time-domain arm
+    // per-reader when the scene is ineligible.
     match args.get("synth-mode").unwrap_or("auto") {
         "auto" => {}
         "spectral" => sim.synth_spectral = Some(true),
-        "wide" => {
-            sim.synth_spectral = Some(false);
-            sim.synth_wide = Some(true);
-        }
-        "row" => {
-            sim.synth_spectral = Some(false);
-            sim.synth_wide = Some(false);
-        }
+        "row" => sim.synth_spectral = Some(false),
         other => {
             return Err(format!(
-                "--synth-mode '{other}': expected auto|spectral|wide|row"
+                "--synth-mode '{other}': expected auto|spectral|row"
             ))
         }
     }
