@@ -10,7 +10,7 @@
 //! read-only between the pipeline and every `wiforce::batch` worker.
 //!
 //! Invalidation is by value, not by notification: an entry stores the
-//! FNV-1a [`scene_fingerprint`] of every scene and grid field it was
+//! word-hashed [`scene_fingerprint`] of every scene and grid field it was
 //! built from, and [`SharedChannelCache::get_or_build`] rebuilds whenever
 //! the fingerprint of the requested scene differs (a mover edit, a
 //! blockage change, a tag move — anything). A stale entry can therefore
@@ -82,10 +82,10 @@ impl Clone for PlaneMemo {
     }
 }
 
-/// FNV-1a token over the raw bits of a tag-state table — the identity
-/// under which a [`StatePlanes`] entry is valid.
+/// Token over the raw bits of a tag-state table — the identity under
+/// which a [`StatePlanes`] entry is valid.
 pub fn plane_token<'a>(values: impl IntoIterator<Item = &'a Complex>) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = WordHash::new();
     for v in values {
         h.f64(v.re);
         h.f64(v.im);
@@ -93,11 +93,11 @@ pub fn plane_token<'a>(values: impl IntoIterator<Item = &'a Complex>) -> u64 {
     h.finish()
 }
 
-/// FNV-1a token over a sequence of raw `u64` words — how sounders derive
+/// Token over a sequence of raw `u64` words — how sounders derive
 /// the `config_token` half of a [`ChannelCache::response_tables`] key
 /// from their press-invariant configuration fields.
 pub fn config_token(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = WordHash::new();
     for w in words {
         h.u64(w);
     }
@@ -284,12 +284,12 @@ impl ChannelCache {
     }
 }
 
-/// FNV-1a hash over the raw bits of every scene field (geometry, power,
+/// Hash over the raw bits of every scene field (geometry, power,
 /// clutter paths, movers, tissue stack, blockage) plus the grid
 /// frequencies — the identity under which [`ChannelCache`] entries are
 /// valid. Any field change, however small, changes the fingerprint.
 pub fn scene_fingerprint(scene: &Scene, freqs_hz: &[f64]) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = WordHash::new();
     h.f64(scene.carrier_hz);
     for p in [scene.tx_pos_m, scene.rx_pos_m, scene.tag_pos_m] {
         for v in p {
@@ -332,17 +332,22 @@ pub fn scene_fingerprint(scene: &Scene, freqs_hz: &[f64]) -> u64 {
     h.finish()
 }
 
-struct Fnv(u64);
+/// Word-at-a-time hash behind every token and fingerprint here: each
+/// 64-bit word is folded into the state, which then passes through the
+/// SplitMix64 finalizer (full avalanche) — one mixer per word instead of
+/// eight serial byte multiplies. Tokens are in-process memo keys only:
+/// nothing persists or compares them across builds.
+struct WordHash(u64);
 
-impl Fnv {
+impl WordHash {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        WordHash(0xcbf2_9ce4_8422_2325)
     }
     fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let mut z = (self.0 ^ v).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.0 = z ^ (z >> 31);
     }
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());

@@ -212,6 +212,15 @@ impl ForceEstimator {
 
         let reference = self.reference.as_ref().expect("locked above");
         let d = differential(reference, &lines, self.cfg.averaging);
+        // NaN lines (here or in the locked reference) carry no phase: fail
+        // the group rather than let `max` below read it as untouched
+        if !(d.dphi1_rad.is_finite() && d.dphi2_rad.is_finite()) {
+            wiforce_telemetry::counter!("estimator.inversion_failures", 1);
+            return Err(WiForceError::OutOfModelRange {
+                phi1: d.dphi1_rad,
+                phi2: d.dphi2_rad,
+            });
+        }
         let magnitude = d.dphi1_rad.abs().max(d.dphi2_rad.abs());
         wiforce_telemetry::observe!("estimator.group_phase_mag_rad", magnitude);
         if magnitude < self.cfg.touch_threshold_rad {
@@ -349,6 +358,115 @@ mod tests {
         let r = est.push_snapshot(&[Complex::ZERO; 4]).unwrap();
         assert!(r.is_none());
         assert_eq!(est.groups_seen(), 0);
+    }
+
+    /// One calibrated model shared by the corrupt-input cases.
+    fn shared_model() -> SensorModel {
+        static MODEL: std::sync::OnceLock<SensorModel> = std::sync::OnceLock::new();
+        MODEL.get_or_init(model).clone()
+    }
+
+    /// A corrupt group may fail or read as untouched, but never panics
+    /// and never emits a non-finite phase or a non-finite touch.
+    fn assert_clean(r: Result<Option<ForceReading>, WiForceError>) {
+        match r {
+            Ok(None) | Err(WiForceError::OutOfModelRange { .. }) => {}
+            Ok(Some(r)) => {
+                assert!(r.dphi1_rad.is_finite() && r.dphi2_rad.is_finite(), "{r:?}");
+                if r.touched {
+                    assert!(r.force_n.is_finite() && r.location_m.is_finite(), "{r:?}");
+                }
+            }
+            Err(e) => panic!("unexpected error {e:?}"),
+        }
+    }
+
+    #[test]
+    fn nan_zero_power_and_all_zero_inputs_fail_cleanly() {
+        let cfg = EstimatorConfig {
+            reference_groups: 1,
+            ..EstimatorConfig::wiforce(1000.0)
+        };
+        let n = cfg.group.n_snapshots;
+        let k = 8;
+        let good = synthetic_snapshots(&cfg.group, 1, 0.0, 0.0);
+        let zero = vec![vec![Complex::ZERO; k]; n];
+        let nan = vec![vec![Complex::new(f64::NAN, f64::NAN); k]; n];
+        let mut one_nan = good.clone();
+        one_nan[n / 2][3] = Complex::new(f64::NAN, 0.0);
+        for (reference, current) in [
+            (&zero, &zero),
+            (&good, &zero),
+            (&zero, &good),
+            (&nan, &good),
+            (&good, &nan),
+            (&good, &one_nan),
+        ] {
+            let mut est = ForceEstimator::new(cfg, shared_model());
+            for s in reference.iter().chain(current) {
+                assert_clean(est.push_snapshot(s));
+            }
+            assert_eq!(est.groups_seen(), 2);
+        }
+        // NaN anywhere in the measured group fails it outright
+        let mut est = ForceEstimator::new(cfg, shared_model());
+        for s in &good {
+            est.push_snapshot(s).unwrap();
+        }
+        let last = nan.iter().map(|s| est.push_snapshot(s)).last().unwrap();
+        assert!(
+            matches!(last, Err(WiForceError::OutOfModelRange { .. })),
+            "{last:?}"
+        );
+        // NaN on one line beside an unchanged other line: the larger
+        // phase magnitude alone would read the pair as untouched
+        let mut est = ForceEstimator::new(cfg, shared_model());
+        let lines = |p1: Complex| GroupLines {
+            p1: vec![p1; k],
+            p2: vec![Complex::ONE; k],
+        };
+        assert_eq!(est.push_lines(lines(Complex::ONE)).unwrap(), None);
+        let r = est.push_lines(lines(Complex::new(f64::NAN, 0.0)));
+        assert!(
+            matches!(r, Err(WiForceError::OutOfModelRange { .. })),
+            "{r:?}"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Pre-extracted lines mixing NaN, ±∞, exact zeros and finite
+        /// values, in the reference and in the measured groups.
+        #[test]
+        fn corrupt_lines_never_panic(
+            cells in proptest::prop::collection::vec((0u8..6, -1.0f64..1.0, -1.0f64..1.0), 64),
+        ) {
+            let cfg = EstimatorConfig {
+                reference_groups: 1,
+                ..EstimatorConfig::wiforce(1000.0)
+            };
+            let value = |&(kind, re, im): &(u8, f64, f64)| match kind {
+                0 => Complex::new(f64::NAN, im),
+                1 => Complex::new(f64::INFINITY, im),
+                2 => Complex::new(re, f64::NEG_INFINITY),
+                3 => Complex::ZERO,
+                _ => Complex::new(re, im),
+            };
+            let vals: Vec<Complex> = cells.iter().map(value).collect();
+            let mut est = ForceEstimator::new(cfg, shared_model());
+            for group in vals.chunks(16) {
+                let lines = GroupLines {
+                    p1: group[..8].to_vec(),
+                    p2: group[8..].to_vec(),
+                };
+                assert_clean(est.push_lines(lines));
+            }
+            proptest::prop_assert_eq!(est.groups_seen(), 4);
+        }
     }
 
     use rand::Rng;

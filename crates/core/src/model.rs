@@ -29,13 +29,20 @@ impl SensorModel {
     ///
     /// Returns [`WiForceError::OutOfModelRange`] when even the best fit
     /// leaves more than `max_residual_rad` RMS phase error — the signature
-    /// of a measurement the calibration cannot explain.
+    /// of a measurement the calibration cannot explain — and for NaN or
+    /// infinite phases, whatever the limit.
     pub fn invert(
         &self,
         phi1_rad: f64,
         phi2_rad: f64,
         max_residual_rad: f64,
     ) -> Result<Estimate, WiForceError> {
+        if !(phi1_rad.is_finite() && phi2_rad.is_finite()) {
+            return Err(WiForceError::OutOfModelRange {
+                phi1: phi1_rad,
+                phi2: phi2_rad,
+            });
+        }
         let (f_lo, f_hi) = self.force_range_n();
         let (x_lo, x_hi) = self.location_range_m();
 
@@ -267,6 +274,23 @@ mod tests {
             assert_eq!(est.force_n.to_bits(), rf.to_bits());
             assert_eq!(est.location_m.to_bits(), rx.to_bits());
             assert_eq!(est.residual_rad.to_bits(), rres.to_bits());
+        }
+    }
+
+    #[test]
+    fn non_finite_phases_rejected_at_any_residual_limit() {
+        let m = model();
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for limit in [0.35, f64::INFINITY, f64::NAN] {
+            for &b in &bad {
+                for (p1, p2) in [(b, 0.1), (0.1, b), (b, b)] {
+                    let err = m.invert(p1, p2, limit).unwrap_err();
+                    assert!(
+                        matches!(err, WiForceError::OutOfModelRange { .. }),
+                        "({p1}, {p2}) at limit {limit}: {err:?}"
+                    );
+                }
+            }
         }
     }
 

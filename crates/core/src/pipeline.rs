@@ -469,22 +469,69 @@ impl Simulation {
     /// tag evaluation into a table lookup. `freqs` is the absolute
     /// subcarrier grid ([`Self::subcarrier_freqs_hz`]), computed once by
     /// the caller and shared across every per-press consumer.
+    ///
+    /// Evaluates `SensorTag::antenna_reflection`'s composition for the
+    /// four states at once: the tag constants (line `z0`, switch `il²`
+    /// products, off-branch reflections, splitter `a²`, through-path
+    /// factor) once per table, `γ(f)` once per subcarrier, and one line
+    /// segment per distinct length — the two stubs under contact (a short
+    /// hides the far end, so the switch states share them), or the one
+    /// full line without, whose Open, Matched and S21 uses share it. Every
+    /// expression keeps the per-state order, so each entry is bit-equal to
+    /// the per-state evaluation.
     pub(crate) fn tag_response_table(
         &self,
         freqs: &[f64],
         contact: Option<&ContactState>,
     ) -> Vec<[Complex; 4]> {
+        use wiforce_em::{twoport::Abcd, Termination, Z_REF};
+        let tag = &self.tag;
+        let line = &tag.line;
+        let z0 = line.z0();
+        let (on1, on2) = (tag.switch1.on_transmission(), tag.switch2.on_transmission());
+        let (il2_1, il2_2) = (on1 * on1, on2 * on2);
+        let off1 = tag.switch1.off_branch_reflection();
+        let off2 = tag.switch2.off_branch_reflection();
+        let amp = tag.splitter.branch_amplitude();
+        let a2 = amp * amp;
+        let through = 2.0 * a2 * on1 * on2;
+        let combine = |g1: Complex, g2: Complex| (g1 + g2) * a2;
         // state index: bit0 = switch1 on, bit1 = switch2 on
         freqs
             .iter()
             .map(|&f| {
-                let mut row = [Complex::ZERO; 4];
-                for (idx, slot) in row.iter_mut().enumerate() {
-                    let on1 = idx & 1 != 0;
-                    let on2 = idx & 2 != 0;
-                    *slot = tag_reflection_for_states(&self.tag, f, on1, on2, contact);
+                let gamma = line.microstrip.gamma(f);
+                // port reflections with the other switch off, then with
+                // it on, and the both-on through path
+                let (solo1, solo2, both1, both2, through_path) = match contact {
+                    Some(c) => {
+                        let r1 = line.stub_reflection(z0, gamma, c.port1_short_m);
+                        let r2 = line.stub_reflection(z0, gamma, c.port2_short_m);
+                        (r1, r2, r1, r2, None)
+                    }
+                    None => {
+                        let full = Abcd::line(z0, gamma, line.length_m);
+                        let refl = |far: Termination| full.input_reflection(far.impedance(), Z_REF);
+                        let matched = refl(Termination::Matched);
+                        (
+                            refl(tag.switch2.off_termination()),
+                            refl(tag.switch1.off_termination()),
+                            matched,
+                            matched,
+                            Some(full.to_sparams(Z_REF).s21 * through),
+                        )
+                    }
+                };
+                let mut both = combine(both1 * il2_1, both2 * il2_2);
+                if let Some(t) = through_path {
+                    both += t;
                 }
-                row
+                [
+                    combine(off1, off2),
+                    combine(solo1 * il2_1, off2),
+                    combine(off1, solo2 * il2_2),
+                    both,
+                ]
             })
             .collect()
     }
@@ -649,9 +696,7 @@ impl Simulation {
             for _snap in 0..n {
                 let t_reader = clock_state.reader_time_s();
                 let t_tag = clock_state.advance(t_snap, self.faults.tag_clock_ppm);
-                let on1 = self.tag.clocks.modulation1(t_tag);
-                let on2 = self.tag.clocks.modulation2(t_tag);
-                let state_idx = on1 as usize | ((on2 as usize) << 1);
+                let state_idx = self.tag.clocks.state(t_tag) as usize;
                 let truth_row: &[Complex] = match &prepared {
                     Some(states) => {
                         // an O(1) index — count it, don't clock it
@@ -978,12 +1023,9 @@ impl Simulation {
                 // the tag-state walk is the whole channel evaluation on
                 // the prepared path: an O(1) table index per row
                 let mut st = [0u8; SYNTH_CHUNK_ROWS];
-                for s in s0..s1 {
-                    let t_tag = plan.t_tag0 + s as f64 * plan.dt_eff;
-                    let on1 = self.tag.clocks.modulation1(t_tag);
-                    let on2 = self.tag.clocks.modulation2(t_tag);
-                    st[s - s0] = on1 as u8 | ((on2 as u8) << 1);
-                }
+                self.tag
+                    .clocks
+                    .states_into(plan.t_tag0, plan.dt_eff, s0, &mut st[..rows]);
                 let t1 = telem.then(fastclock::ticks);
                 if let Some(lanes) = self.sounder.estimate_prepared_counter_rows_into(
                     states,
@@ -1034,9 +1076,7 @@ impl Simulation {
                 let row_off = (s - s0) * n_cols;
                 let t_reader = plan.t_reader0 + s as f64 * t_snap;
                 let t_tag = plan.t_tag0 + s as f64 * plan.dt_eff;
-                let on1 = self.tag.clocks.modulation1(t_tag);
-                let on2 = self.tag.clocks.modulation2(t_tag);
-                let state_idx = on1 as usize | ((on2 as usize) << 1);
+                let state_idx = self.tag.clocks.state(t_tag) as usize;
                 let mut cursor = CounterRng::for_snapshot(key, plan.group_id, s as u32);
                 match &prepared {
                     Some(_) => l_eval_n += 1,
@@ -1480,7 +1520,9 @@ impl Simulation {
             }
 
             // one O(N) state walk accumulating E_σ(ω) per consumed line
-            // via phasor recurrences
+            // via phasor recurrences, classifying the instants a stack
+            // chunk at a time
+            let walk_span = wiforce_telemetry::span!("pipeline.state_walk");
             let mut e_acc = [[Complex::ZERO; 4]; 4]; // [line][state]
             let mut counts = [0u64; 4];
             let mut ph = [Complex::ONE; 4];
@@ -1488,17 +1530,21 @@ impl Simulation {
             for (fi, r) in rot.iter_mut().enumerate().take(nf) {
                 *r = Complex::cis(-wiforce_dsp::TAU * line_hz[fi] * t_snap);
             }
-            for s in 0..n {
-                let t_tag = t_tag0 + s as f64 * dt_eff;
-                let on1 = self.tag.clocks.modulation1(t_tag);
-                let on2 = self.tag.clocks.modulation2(t_tag);
-                let state = on1 as usize | ((on2 as usize) << 1);
-                counts[state] += 1;
-                for fi in 0..nf {
-                    e_acc[fi][state] += ph[fi];
-                    ph[fi] *= rot[fi];
+            let mut st = [0u8; SYNTH_CHUNK_ROWS];
+            for s0 in (0..n).step_by(SYNTH_CHUNK_ROWS) {
+                let chunk = &mut st[..SYNTH_CHUNK_ROWS.min(n - s0)];
+                self.tag.clocks.states_into(t_tag0, dt_eff, s0, chunk);
+                for &state in chunk.iter() {
+                    let state = state as usize;
+                    counts[state] += 1;
+                    for fi in 0..nf {
+                        e_acc[fi][state] += ph[fi];
+                        ph[fi] *= rot[fi];
+                    }
                 }
             }
+            drop(walk_span);
+            let _synth_span = wiforce_telemetry::span!("pipeline.line_synthesis");
             let inv_n = 1.0 / n as f64;
             let cbar = [
                 counts[0] as f64 * inv_n,
@@ -1904,7 +1950,10 @@ pub fn average_lines(groups: &[GroupLines]) -> GroupLines {
     GroupLines { p1, p2 }
 }
 
-/// Tag reflection for explicit switch states (bypasses the clocks).
+/// Tag reflection for explicit switch states (bypasses the clocks): the
+/// per-state reference that [`Simulation::tag_response_table`] is pinned
+/// against bit for bit.
+#[cfg(test)]
 fn tag_reflection_for_states(
     tag: &SensorTag,
     f_hz: f64,
@@ -1970,13 +2019,64 @@ mod tests {
         let t_s1_on = 0.1e-3; // inside [0, 0.25 ms)
         let t_s2_on = 0.3e-3; // inside [0.25, 0.375 ms)
         let t_idle = 0.45e-3; // both off
+        let bits = |z: Complex| (z.re.to_bits(), z.im.to_bits());
         for (k, &f) in freqs.iter().enumerate().step_by(13) {
             let g1 = sim.tag.antenna_reflection(f, t_s1_on, contact.as_ref());
-            assert!((g1 - table[k][1]).abs() < 1e-12);
+            assert_eq!(bits(g1), bits(table[k][1]));
             let g2 = sim.tag.antenna_reflection(f, t_s2_on, contact.as_ref());
-            assert!((g2 - table[k][2]).abs() < 1e-12);
+            assert_eq!(bits(g2), bits(table[k][2]));
             let gi = sim.tag.antenna_reflection(f, t_idle, contact.as_ref());
-            assert!((gi - table[k][0]).abs() < 1e-12);
+            assert_eq!(bits(gi), bits(table[k][0]));
+        }
+    }
+
+    #[test]
+    fn hoisted_tag_table_matches_per_state_reference_bitwise() {
+        let bits = |z: Complex| (z.re.to_bits(), z.im.to_bits());
+        let len = Simulation::paper_default(0.9e9).tag.length_m();
+        let contacts = [
+            None,
+            Some(ContactState {
+                port1_short_m: 0.031,
+                port2_short_m: 0.0427,
+            }),
+            Some(ContactState {
+                port1_short_m: 0.0,
+                port2_short_m: len,
+            }),
+            // outside the line: clamped to 0 and to the line length
+            Some(ContactState {
+                port1_short_m: len + 0.01,
+                port2_short_m: -0.002,
+            }),
+        ];
+        for carrier in [0.9e9, 2.4e9] {
+            for absorptive in [false, true] {
+                let mut sim = fast_sim(carrier);
+                if absorptive {
+                    sim.tag = sim.tag.with_absorptive_switches();
+                }
+                let freqs = sim.subcarrier_freqs_hz();
+                for contact in &contacts {
+                    let table = sim.tag_response_table(&freqs, contact.as_ref());
+                    for (k, &f) in freqs.iter().enumerate() {
+                        for (idx, &got) in table[k].iter().enumerate() {
+                            let want = tag_reflection_for_states(
+                                &sim.tag,
+                                f,
+                                idx & 1 != 0,
+                                idx & 2 != 0,
+                                contact.as_ref(),
+                            );
+                            assert_eq!(
+                                bits(got),
+                                bits(want),
+                                "{carrier} Hz, absorptive {absorptive}, {contact:?}, k {k}, state {idx}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -9,9 +9,18 @@ use crate::PI;
 use crate::TAU;
 
 /// Wraps an angle into `(-π, π]`.
+///
+/// `rem_euclid` (libm `fmod`) returns an argument already in `[0, 2π)`
+/// unchanged, so that case skips the call; NaN, ±∞ and out-of-range
+/// values still take it. The result is bit-identical either way.
 #[inline]
 pub fn wrap_to_pi(theta: f64) -> f64 {
-    let mut t = (theta + PI).rem_euclid(TAU);
+    let s = theta + PI;
+    let mut t = if (0.0..TAU).contains(&s) {
+        s
+    } else {
+        s.rem_euclid(TAU)
+    };
     if t == 0.0 {
         t = TAU; // map the boundary so the result is exactly +π, not -π
     }
@@ -77,6 +86,61 @@ pub fn angle_diff(a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `wrap_to_pi` before the in-range shortcut: `rem_euclid` always.
+    fn wrap_to_pi_rem_euclid(theta: f64) -> f64 {
+        let mut t = (theta + PI).rem_euclid(TAU);
+        if t == 0.0 {
+            t = TAU;
+        }
+        t - PI
+    }
+
+    fn assert_same_bits(theta: f64) {
+        let (got, want) = (wrap_to_pi(theta), wrap_to_pi_rem_euclid(theta));
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "wrap_to_pi({theta:e}) = {got:e}, rem_euclid form {want:e}"
+        );
+    }
+
+    #[test]
+    fn wrap_to_pi_matches_rem_euclid_form_at_the_edges() {
+        let specials = [
+            0.0,
+            -0.0,
+            PI,
+            -PI,
+            TAU,
+            -TAU,
+            3.0 * PI,
+            -3.0 * PI,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            1e300,
+        ];
+        for x in specials {
+            for t in [x, x.next_down(), x.next_up()] {
+                assert_same_bits(t);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 2048,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn wrap_to_pi_matches_rem_euclid_form(theta in -40.0f64..40.0) {
+            assert_same_bits(theta);
+        }
+    }
 
     #[test]
     fn wrap_to_pi_range() {

@@ -68,8 +68,19 @@ impl SensorLine {
     }
 
     /// Characteristic impedance as a complex number.
-    fn z0(&self) -> Complex {
+    pub fn z0(&self) -> Complex {
         Complex::from_re(self.microstrip.impedance_ohm())
+    }
+
+    /// Reflection into the shorted stub left by a contact `short_dist_m`
+    /// from the port (clamped to the line), given the line's `z0` and its
+    /// propagation constant `gamma` at the frequency of interest — the
+    /// contact half of [`Self::port_reflection`], for callers that hoist
+    /// both out of a loop.
+    pub fn stub_reflection(&self, z0: Complex, gamma: Complex, short_dist_m: f64) -> Complex {
+        let d = short_dist_m.clamp(0.0, self.length_m);
+        Abcd::line(z0, gamma, d)
+            .input_reflection(Complex::from_re(self.contact_resistance_ohm), Z_REF)
     }
 
     /// Reflection coefficient looking into the line from one port, in the
@@ -86,11 +97,7 @@ impl SensorLine {
     ) -> Complex {
         let gamma = self.microstrip.gamma(f_hz);
         match short_dist_m {
-            Some(d) => {
-                let d = d.clamp(0.0, self.length_m);
-                let stub = Abcd::line(self.z0(), gamma, d);
-                stub.input_reflection(Complex::from_re(self.contact_resistance_ohm), Z_REF)
-            }
+            Some(d) => self.stub_reflection(self.z0(), gamma, d),
             None => {
                 let line = Abcd::line(self.z0(), gamma, self.length_m);
                 line.input_reflection(far.impedance(), Z_REF)

@@ -19,6 +19,19 @@
 
 use wiforce_dsp::{Complex, PI, TAU};
 
+/// Largest `(t − offset)/period` for which [`DutyClock::is_high`] trusts
+/// its reciprocal-multiply phase estimate (error ≤ ≈2.2e-10 of a period).
+const FAST_PHASE_MAX: f64 = 1e6;
+
+/// Adding and subtracting 2⁵² rounds a non-negative double below 2⁵¹ to
+/// the nearest integer.
+const ROUND_MAGIC: f64 = 4_503_599_627_370_496.0;
+
+/// How close (fraction of a period) an estimated phase may come to a clock
+/// edge before [`DutyClock::is_high`] defers to the exact `rem_euclid`
+/// form: 1e-9, four times the estimate's worst-case error.
+const EDGE_MARGIN: f64 = 1e-9;
+
 /// A periodic square wave described by period, duty cycle and offset.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DutyClock {
@@ -47,10 +60,56 @@ impl DutyClock {
         1.0 / self.period_s
     }
 
-    /// Logic level at time `t` (s).
+    /// Logic level at time `t` (s): `((t − offset) mod period)/period < duty`.
     pub fn is_high(&self, t: f64) -> bool {
-        let phase = (t - self.offset_s).rem_euclid(self.period_s) / self.period_s;
-        phase < self.duty
+        self.high_at(t, 1.0 / self.period_s)
+    }
+
+    /// [`Self::is_high`] with `1/period` supplied by the caller, so a loop
+    /// over many instants pays for the reciprocal once.
+    #[inline]
+    fn high_at(&self, t: f64, inv_period: f64) -> bool {
+        match self.level_estimate(t, inv_period) {
+            (high, true) => high,
+            _ => self.high_exact(t - self.offset_s),
+        }
+    }
+
+    /// The level at `t` from a reciprocal-multiply phase estimate, and
+    /// whether that estimate decides it exactly.
+    ///
+    /// The exact level is `fl(r/period) < duty` with `r = x mod period`
+    /// (`x = t − offset`): `fmod` is exact, so `r/period` is the true
+    /// phase `φ` rounded once. The estimate is the fractional part of
+    /// `u = x·(1/period)`, off by at most `2·2⁻⁵³·u` — ≈2.2e-10 of a
+    /// period below [`FAST_PHASE_MAX`] — plus one rounding. It is trusted
+    /// only when it sits more than [`EDGE_MARGIN`] (1e-9) from every edge
+    /// (`0`, `duty`, `1`); then `φ` and its rounding lie on the same side
+    /// of `duty`, so the decision is the exact one. Instants near an edge,
+    /// negative `x`, large `x` and non-finite input are not trusted.
+    /// Branch-free (`&`, not `&&`, and packed-double arithmetic only), so
+    /// a walk over many instants vectorizes.
+    #[inline]
+    fn level_estimate(&self, t: f64, inv_period: f64) -> (bool, bool) {
+        let x = t - self.offset_s;
+        let u = x * inv_period;
+        // fractional part via round-to-nearest by 2⁵² (exact for
+        // 0 ≤ u < 2⁵¹); a negative remainder wraps up by one
+        let rem = u - ((u + ROUND_MAGIC) - ROUND_MAGIC);
+        let frac = if rem < 0.0 { rem + 1.0 } else { rem };
+        let trusted = (inv_period > 0.0)
+            & (0.0..FAST_PHASE_MAX).contains(&u)
+            & ((frac - 0.5).abs() < 0.5 - EDGE_MARGIN)
+            & ((frac - self.duty).abs() > EDGE_MARGIN);
+        (frac < self.duty, trusted)
+    }
+
+    /// The exact level of `x = t − offset`. Out of line so the optimizer
+    /// cannot speculate the `fmod` onto the fast path.
+    #[cold]
+    #[inline(never)]
+    fn high_exact(&self, x: f64) -> bool {
+        x.rem_euclid(self.period_s) / self.period_s < self.duty
     }
 
     /// Complex Fourier coefficient `c_k` of the 0/1 waveform at harmonic
@@ -146,12 +205,53 @@ impl ClockPair {
 
     /// Switch 2 on-state at time `t`.
     pub fn modulation2(&self, t: f64) -> bool {
-        let high = self.clock2.is_high(t);
-        if self.switch2_active_low {
-            !high
-        } else {
-            high
+        self.clock2.is_high(t) != self.switch2_active_low
+    }
+
+    /// Drive state at time `t`, indexed `on1 | on2 << 1` — the column of a
+    /// per-state tag table. Same decisions as [`Self::modulation1`] and
+    /// [`Self::modulation2`].
+    pub fn state(&self, t: f64) -> u8 {
+        self.state_at(t, 1.0 / self.clock1.period_s, 1.0 / self.clock2.period_s)
+    }
+
+    /// Classifies the instants `t0 + s·dt` for `s` in `s0..s0 + out.len()`
+    /// into `out` (one [`Self::state`] per instant, same decisions), with
+    /// the instant computed exactly as `t0 + s as f64 * dt` — the tag-state
+    /// walk of one phase group or one chunk of it.
+    ///
+    /// The walk classifies every instant from the branch-free estimate and
+    /// only if some instant was not decided exactly (an edge within 1e-9
+    /// of a period, an instant before a clock's offset, or past the
+    /// estimate's range) re-walks the range instant by instant.
+    pub fn states_into(&self, t0: f64, dt: f64, s0: usize, out: &mut [u8]) {
+        let inv1 = 1.0 / self.clock1.period_s;
+        let inv2 = 1.0 / self.clock2.period_s;
+        let mut all_trusted = true;
+        for (i, st) in out.iter_mut().enumerate() {
+            let t = t0 + (s0 + i) as f64 * dt;
+            let (on1, ok1) = self.clock1.level_estimate(t, inv1);
+            let (high2, ok2) = self.clock2.level_estimate(t, inv2);
+            *st = Self::pack(on1, high2 != self.switch2_active_low);
+            all_trusted &= ok1 & ok2;
         }
+        if !all_trusted {
+            for (i, st) in out.iter_mut().enumerate() {
+                *st = self.state_at(t0 + (s0 + i) as f64 * dt, inv1, inv2);
+            }
+        }
+    }
+
+    #[inline]
+    fn state_at(&self, t: f64, inv1: f64, inv2: f64) -> u8 {
+        let on1 = self.clock1.high_at(t, inv1);
+        let on2 = self.clock2.high_at(t, inv2) != self.switch2_active_low;
+        Self::pack(on1, on2)
+    }
+
+    #[inline]
+    fn pack(on1: bool, on2: bool) -> u8 {
+        on1 as u8 | (on2 as u8) << 1
     }
 
     /// `true` if the scheme guarantees the two switches are never
@@ -185,8 +285,7 @@ impl ClockPair {
     /// refilled, so steady state performs no allocation. Bit-identical to
     /// [`Self::state_weights`].
     pub fn state_weights_into(&self, t0: f64, window_s: f64, edges: &mut Vec<f64>) -> [f64; 4] {
-        let state_at =
-            |t: f64| self.modulation1(t) as usize | ((self.modulation2(t) as usize) << 1);
+        let state_at = |t: f64| self.state(t) as usize;
         let mut w = [0.0; 4];
         if window_s <= 0.0 {
             w[state_at(t0)] = 1.0;
@@ -455,6 +554,159 @@ mod tests {
             }
         }
         assert!(edges.capacity() > 0, "scratch was actually used");
+    }
+
+    /// The classifier before the reciprocal-multiply fast form: one exact
+    /// `rem_euclid` per clock per instant.
+    fn rem_euclid_state(pair: &ClockPair, t: f64) -> u8 {
+        let high = |c: &DutyClock| (t - c.offset_s).rem_euclid(c.period_s) / c.period_s < c.duty;
+        let on1 = high(&pair.clock1);
+        let on2 = if pair.switch2_active_low {
+            !high(&pair.clock2)
+        } else {
+            high(&pair.clock2)
+        };
+        on1 as u8 | (on2 as u8) << 1
+    }
+
+    fn assert_matches_rem_euclid(pair: &ClockPair, t: f64) {
+        let want = rem_euclid_state(pair, t);
+        assert_eq!(pair.state(t), want, "state at t={t:e}");
+        assert_eq!(pair.modulation1(t), want & 1 != 0, "switch 1 at t={t:e}");
+        assert_eq!(pair.modulation2(t), want & 2 != 0, "switch 2 at t={t:e}");
+    }
+
+    #[test]
+    fn classifier_matches_rem_euclid_at_edges() {
+        // exact edge instants offset + (k + {0, duty})·period and one ulp
+        // either side, from the first periods out past the fast form's
+        // 1e6-period range, on both clocks of both schemes
+        for pair in [
+            ClockPair::wiforce(1000.0),
+            ClockPair::wiforce(1234.5),
+            ClockPair::naive(1000.0),
+        ] {
+            for clk in [pair.clock1, pair.clock2] {
+                let ks = (-50..2_000)
+                    .chain([999_990, 999_999, 1_000_000, 1_000_001, 5_000_000])
+                    .map(|k| k as f64);
+                for k in ks {
+                    for frac in [0.0, clk.duty] {
+                        let edge = clk.offset_s + (k + frac) * clk.period_s;
+                        for t in [edge.next_down(), edge, edge.next_up()] {
+                            assert_matches_rem_euclid(&pair, t);
+                            assert_matches_rem_euclid(&pair, -t);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn classifier_matches_rem_euclid_within_ulps_of_far_edges() {
+        // far into a run the phase estimate's error (≈2.2e-16 per period
+        // elapsed) spans several ulps of t around each edge: exactly where
+        // the edge margin must hand the decision to rem_euclid (with no
+        // margin, about one instant in 10⁴ here is misclassified), and
+        // past 10⁶ periods the estimate is not trusted at all
+        for j in 0..60 {
+            let pair = ClockPair::wiforce(500.0 + j as f64 * 125.9);
+            for clk in [pair.clock1, pair.clock2] {
+                let ks = (0..150).map(|i| (1_000 + i * 6_661) as f64);
+                let far =
+                    (0..50).map(|i| (10f64.powi(7 + i / 10) * (1.0 + 0.0137 * i as f64)).round());
+                for k in ks.chain(far) {
+                    for frac in [0.0, clk.duty] {
+                        let mut t = clk.offset_s + (k + frac) * clk.period_s;
+                        for _ in 0..8 {
+                            t = t.next_down();
+                        }
+                        for _ in 0..17 {
+                            assert_matches_rem_euclid(&pair, t);
+                            t = t.next_up();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn classifier_matches_rem_euclid_off_the_fast_range() {
+        let pair = ClockPair::wiforce(1000.0);
+        for t in [
+            0.0,
+            -0.0,
+            -1e-3,
+            -0.37e-3,
+            999.9999,
+            1e3,
+            1.5e3,
+            1e7,
+            1e300,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_matches_rem_euclid(&pair, t);
+        }
+    }
+
+    #[test]
+    fn states_into_walks_the_same_progression() {
+        // the snapshot walk: t0 + s·dt with a ppm-scaled step, starting
+        // both before switch 2's offset (negative x) and far into a run
+        for pair in [ClockPair::wiforce(1000.0), ClockPair::naive(1000.0)] {
+            for (t0, dt) in [
+                (0.0, 57.6e-6),
+                (0.123e-3, 57.6e-6 * (1.0 + 3e-6)),
+                (12.345, 57.6e-6 * (1.0 - 40e-6)),
+                (999.99, 57.6e-6),
+            ] {
+                let s0 = 37;
+                let mut out = [0u8; 700];
+                pair.states_into(t0, dt, s0, &mut out);
+                for (i, &st) in out.iter().enumerate() {
+                    let t = t0 + (s0 + i) as f64 * dt;
+                    assert_eq!(st, rem_euclid_state(&pair, t), "t0={t0} s={}", s0 + i);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 512,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Any base frequency, any instant (negative and beyond the fast
+        /// range included), with the instant nudged onto an edge.
+        #[test]
+        fn classifier_matches_rem_euclid_anywhere(
+            fs in 10.0f64..100_000.0,
+            t in -10.0f64..2e4,
+            naive in 0u8..2,
+            snap in 0u8..2,
+        ) {
+            let pair = if naive == 1 { ClockPair::naive(fs) } else { ClockPair::wiforce(fs) };
+            let t = if snap == 1 {
+                // land on the nearest switch-1 falling edge
+                let p = pair.clock1.period_s;
+                ((t / p).floor() + pair.clock1.duty) * p
+            } else {
+                t
+            };
+            for t in [t.next_down(), t, t.next_up()] {
+                let want = rem_euclid_state(&pair, t);
+                proptest::prop_assert_eq!(pair.state(t), want);
+                proptest::prop_assert_eq!(pair.modulation1(t), want & 1 != 0);
+                proptest::prop_assert_eq!(pair.modulation2(t), want & 2 != 0);
+            }
+        }
     }
 
     #[test]

@@ -46,16 +46,18 @@ fn stall_policy_counts_backpressure_and_loses_nothing() {
     // the throttle must dominate group synthesis so the producer refills
     // the capacity-1 queues while both consumers are still busy on their
     // claimed streams — the spare workers then find nothing runnable and
-    // the producer parks on the full queues (the transition counted)
+    // the producer parks on the full queues (the transition counted).
+    // A debug-build group takes tens of ms and more on a loaded host, so
+    // the throttle sits well above that
     let cfg = BatchConfig {
-        consume_throttle: Some(Duration::from_millis(40)),
+        consume_throttle: Some(Duration::from_millis(200)),
         ..throttled(4, OverflowPolicy::Stall)
     };
 
     let report = run_batch(&sim, &model, std::slice::from_ref(&spec), &cfg).expect("batch runs");
 
-    // capacity-1 queues plus a 5 ms consume throttle force the producer
-    // to park; the stall transitions must be counted
+    // capacity-1 queues plus the consume throttle force the producer to
+    // park; the stall transitions must be counted
     assert!(
         report.backpressure_events > 0,
         "no backpressure recorded under a throttled capacity-1 queue"
