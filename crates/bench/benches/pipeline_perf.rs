@@ -1,13 +1,15 @@
 //! Criterion benches for the end-to-end pipeline: channel sounding,
-//! phase-group extraction and model inversion — the pieces that set the
-//! reader's real-time budget (one phase group every 36 ms must be
-//! processed in well under 36 ms).
+//! phase-group extraction, model inversion and the streaming estimator's
+//! group-completing push — the pieces that set the reader's real-time
+//! budget (one phase group every 36 ms must be processed in well under
+//! 36 ms).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wiforce::harmonics::extract_lines;
 use wiforce::pipeline::{Simulation, TagClock};
+use wiforce::{EstimatorConfig, ForceEstimator};
 use wiforce_dsp::Complex;
 use wiforce_reader::{ChannelSounder, OfdmSounder};
 
@@ -39,6 +41,43 @@ fn bench_model_invert(c: &mut Criterion) {
     });
 }
 
+/// The push that completes a phase group on a locked estimator: the 624
+/// rows before it are pushed untimed, so this times the group's line
+/// extraction, differential phases and model inversion.
+fn bench_estimator_group_complete(c: &mut Criterion) {
+    let mut sim = Simulation::paper_default(2.4e9);
+    sim.reference_groups = 1;
+    sim.measure_groups = 1;
+    let model = sim.vna_calibration().unwrap();
+    let cfg = EstimatorConfig {
+        reference_groups: 1,
+        group: sim.group,
+        ..EstimatorConfig::wiforce(sim.group.line1_hz)
+    };
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut clock = TagClock::new(&mut rng);
+    let quiet = sim.run_snapshots(None, 1, &mut clock, &mut rng);
+    let contact = sim.contact_for(4.0, 0.040);
+    let pressed = sim.run_snapshots(contact.as_ref(), 1, &mut clock, &mut rng);
+    let mut locked = ForceEstimator::new(cfg, model);
+    locked.push_group(&quiet).unwrap();
+    assert!(locked.reference_locked());
+    let n = pressed.n_rows();
+    c.bench_function("estimator_group_complete", |b| {
+        b.iter_batched_ref(
+            || {
+                let mut est = locked.clone();
+                for row in pressed.rows().take(n - 1) {
+                    est.push_snapshot(row).unwrap();
+                }
+                est
+            },
+            |est| est.push_snapshot(black_box(pressed.row(n - 1))).unwrap(),
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 fn bench_measure_press(c: &mut Criterion) {
     let mut sim = Simulation::paper_default(2.4e9);
     sim.reference_groups = 1;
@@ -56,6 +95,7 @@ fn bench_measure_press(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_ofdm_estimate, bench_group_extraction, bench_model_invert, bench_measure_press
+    targets = bench_ofdm_estimate, bench_group_extraction, bench_model_invert,
+        bench_estimator_group_complete, bench_measure_press
 }
 criterion_main!(benches);

@@ -10,7 +10,9 @@
 //! at the held-out 55 mm point, Table 1). Model inversion lives in
 //! [`crate::model`].
 
+use crate::model::InversionGrid;
 use crate::WiForceError;
+use std::sync::Arc;
 use wiforce_dsp::interp::catmull_rom;
 use wiforce_dsp::polyfit::Polynomial;
 
@@ -46,11 +48,23 @@ pub struct LocationCurve {
 }
 
 /// The calibrated WiForce sensor model.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SensorModel {
     curves: Vec<LocationCurve>,
     force_min_n: f64,
     force_max_n: f64,
+    /// The inversion's coarse grid, a function of the fields above.
+    grid: Arc<InversionGrid>,
+}
+
+impl PartialEq for SensorModel {
+    /// Models are equal when their curves and force range are; the
+    /// inversion grid is derived from those.
+    fn eq(&self, other: &Self) -> bool {
+        self.curves == other.curves
+            && self.force_min_n == other.force_min_n
+            && self.force_max_n == other.force_max_n
+    }
 }
 
 impl SensorModel {
@@ -107,11 +121,24 @@ impl SensorModel {
                 poly2,
             });
         }
-        Ok(SensorModel {
+        Ok(SensorModel::new(curves, force_min, force_max))
+    }
+
+    /// Assembles a validated model (at least two strictly increasing
+    /// locations) and builds its inversion grid.
+    pub(crate) fn new(curves: Vec<LocationCurve>, force_min_n: f64, force_max_n: f64) -> Self {
+        let grid = Arc::new(InversionGrid::build(&curves, (force_min_n, force_max_n)));
+        SensorModel {
             curves,
-            force_min_n: force_min,
-            force_max_n: force_max,
-        })
+            force_min_n,
+            force_max_n,
+            grid,
+        }
+    }
+
+    /// The coarse inversion grid built at fit or load time.
+    pub(crate) fn grid(&self) -> &InversionGrid {
+        &self.grid
     }
 
     /// Calibration locations, ascending, m.
@@ -343,11 +370,7 @@ impl SensorModel {
         {
             return Err(bad("model needs ≥2 strictly increasing locations"));
         }
-        Ok(SensorModel {
-            curves,
-            force_min_n,
-            force_max_n,
-        })
+        Ok(SensorModel::new(curves, force_min_n, force_max_n))
     }
 }
 

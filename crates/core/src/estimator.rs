@@ -8,9 +8,10 @@
 
 use crate::calib::SensorModel;
 use crate::diffphase::{differential, Averaging};
-use crate::harmonics::{extract_lines, GroupLines, PhaseGroupConfig};
+use crate::harmonics::{extract_lines_summed, GroupLines, PhaseGroupConfig};
 use crate::pipeline::average_lines;
 use crate::WiForceError;
+use wiforce_dsp::kernels::add_row;
 use wiforce_dsp::{Complex, SnapshotMatrix};
 
 /// Configuration for the streaming estimator.
@@ -64,6 +65,9 @@ pub struct ForceEstimator {
     cfg: EstimatorConfig,
     model: SensorModel,
     buffer: SnapshotMatrix,
+    /// Per-subcarrier sums of the buffered snapshots, kept as they
+    /// arrive so a completing group is not read again for its means.
+    col_sums: Vec<Complex>,
     reference_accum: Vec<GroupLines>,
     reference: Option<GroupLines>,
     groups_seen: usize,
@@ -77,6 +81,7 @@ impl ForceEstimator {
             cfg,
             model,
             buffer: SnapshotMatrix::default(),
+            col_sums: Vec::new(),
             reference_accum: Vec::new(),
             reference: None,
             groups_seen: 0,
@@ -96,32 +101,50 @@ impl ForceEstimator {
     /// Pushes one channel-estimate snapshot (one per sounding frame).
     ///
     /// The snapshot is copied into a flat, capacity-reusing group buffer,
-    /// so a steady-state stream performs no per-snapshot allocation.
+    /// so a steady-state stream performs no per-snapshot allocation, and
+    /// added into the per-subcarrier sums the group's means come from.
     ///
     /// Returns a reading when a phase group completes after the reference
     /// is locked; `Ok(None)` while filling groups or acquiring the
-    /// reference.
+    /// reference. A snapshot whose width differs from the stream's (set
+    /// by its first snapshot) is a [`WiForceError::Config`] error and
+    /// leaves the estimator untouched.
     pub fn push_snapshot(
         &mut self,
         snapshot: &[Complex],
     ) -> Result<Option<ForceReading>, WiForceError> {
+        let width = self.buffer.n_cols();
+        if width != 0 && snapshot.len() != width {
+            return Err(WiForceError::Config(format!(
+                "snapshot has {} subcarriers, the stream has {width}",
+                snapshot.len()
+            )));
+        }
+        if self.buffer.is_empty() {
+            self.col_sums.clear();
+            self.col_sums.resize(snapshot.len(), Complex::ZERO);
+        }
         self.buffer.push_row(snapshot);
-        if self.buffer.n_rows() == 1 {
+        add_row(&mut self.col_sums, snapshot);
+        let rows = self.buffer.n_rows();
+        if rows == 1 {
             // the width is known now: reserve the whole group once instead
             // of growing through a chain of doubling reallocations (a
             // no-op after the first group, since `clear` keeps capacity)
             self.buffer
                 .reserve_rows(self.cfg.group.n_snapshots.saturating_sub(1));
         }
-        if self.buffer.n_rows() < self.cfg.group.n_snapshots {
+        if rows < self.cfg.group.n_snapshots {
             return Ok(None);
         }
-        // take the buffer so the group can borrow it while `self` stays
-        // mutable; its capacity is handed back (cleared) afterwards
+        // take the buffers so the group can borrow them while `self` stays
+        // mutable; their capacity is handed back afterwards
         let buffer = std::mem::take(&mut self.buffer);
-        let result = self.process_group(buffer.view());
+        let sums = std::mem::take(&mut self.col_sums);
+        let result = self.process_group(buffer.view(), Some(&sums));
         self.buffer = buffer;
         self.buffer.clear();
+        self.col_sums = sums;
         result
     }
 
@@ -140,7 +163,7 @@ impl ForceEstimator {
         group: &SnapshotMatrix,
     ) -> Result<Option<ForceReading>, WiForceError> {
         if self.buffer.n_rows() == 0 && group.n_rows() == self.cfg.group.n_snapshots {
-            return self.process_group(group.view());
+            return self.process_group(group.view(), None);
         }
         let mut last = Ok(None);
         for row in group.rows() {
@@ -174,10 +197,12 @@ impl ForceEstimator {
     }
 
     /// Shared group-completion pipeline: harmonic extraction, reference
-    /// handling, differential phases, model inversion.
+    /// handling, differential phases, model inversion. `col_sums` are the
+    /// group's column sums when [`Self::push_snapshot`] kept them.
     fn process_group(
         &mut self,
         group: wiforce_dsp::SnapshotView<'_>,
+        col_sums: Option<&[Complex]>,
     ) -> Result<Option<ForceReading>, WiForceError> {
         // counted once per completed group (not per push): the per-sample
         // counter lookup was a measurable share of telemetry-on overhead
@@ -185,7 +210,8 @@ impl ForceEstimator {
             "estimator.snapshots_pushed",
             self.cfg.group.n_snapshots as u64
         );
-        let lines = extract_lines(&self.cfg.group, group, self.next_group_start_s());
+        let lines =
+            extract_lines_summed(&self.cfg.group, group, col_sums, self.next_group_start_s());
         self.process_lines(lines)
     }
 
@@ -234,10 +260,12 @@ impl ForceEstimator {
                 touched: false,
             }));
         }
-        let est = self
-            .model
-            .invert(d.dphi1_rad, d.dphi2_rad, self.cfg.max_residual_rad)
-            .inspect_err(|_| wiforce_telemetry::counter!("estimator.inversion_failures", 1))?;
+        let est = {
+            let _span = wiforce_telemetry::span!("estimator.model_invert");
+            self.model
+                .invert(d.dphi1_rad, d.dphi2_rad, self.cfg.max_residual_rad)
+        }
+        .inspect_err(|_| wiforce_telemetry::counter!("estimator.inversion_failures", 1))?;
         wiforce_telemetry::counter!("estimator.readings_touched", 1);
         Ok(Some(ForceReading {
             force_n: est.force_n,
@@ -466,6 +494,149 @@ mod tests {
                 assert_clean(est.push_lines(lines));
             }
             proptest::prop_assert_eq!(est.groups_seen(), 4);
+        }
+    }
+
+    fn same_reading(a: &ForceReading, b: &ForceReading) -> bool {
+        let bits = |r: &ForceReading| {
+            [
+                r.force_n.to_bits(),
+                r.location_m.to_bits(),
+                r.dphi1_rad.to_bits(),
+                r.dphi2_rad.to_bits(),
+                r.residual_rad.to_bits(),
+            ]
+        };
+        bits(a) == bits(b) && a.touched == b.touched
+    }
+
+    /// Bitwise equality of two group results; errors compare by their
+    /// rendering (their phases may be NaN).
+    fn assert_same_result(
+        a: &Result<Option<ForceReading>, WiForceError>,
+        b: &Result<Option<ForceReading>, WiForceError>,
+        what: &str,
+    ) {
+        match (a, b) {
+            (Ok(Some(x)), Ok(Some(y))) => assert!(same_reading(x, y), "{what}: {x:?} vs {y:?}"),
+            (Ok(None), Ok(None)) => {}
+            (Err(x), Err(y)) => assert_eq!(format!("{x:?}"), format!("{y:?}"), "{what}"),
+            _ => panic!("{what}: {a:?} vs {b:?}"),
+        }
+    }
+
+    /// Sums kept at push time, sums taken inside the extraction pass, and
+    /// the library's extraction + differential + inversion called by hand
+    /// must give the same bits for every group of a simulated capture —
+    /// including a group with one NaN snapshot.
+    #[test]
+    fn streaming_sums_match_group_and_direct_extraction_bitwise() {
+        let mut sim = Simulation::paper_default(2.4e9);
+        sim.reference_groups = 1;
+        sim.measure_groups = 1;
+        let model = sim.vna_calibration().unwrap();
+        let cfg = EstimatorConfig {
+            reference_groups: 1,
+            group: sim.group,
+            ..EstimatorConfig::wiforce(1000.0)
+        };
+        let n = cfg.group.n_snapshots;
+        let mut rng = StdRng::seed_from_u64(91);
+        let mut clock = crate::pipeline::TagClock::new(&mut rng);
+        let mut groups = vec![sim.run_snapshots(None, 1, &mut clock, &mut rng)];
+        for (f, x) in [(5.0, 0.030), (2.5, 0.045)] {
+            let contact = sim.contact_for(f, x);
+            groups.push(sim.run_snapshots(contact.as_ref(), 1, &mut clock, &mut rng));
+        }
+        let mut one_nan = groups[1].clone();
+        one_nan.row_mut(n / 2)[3] = Complex::new(f64::NAN, 0.0);
+        groups.push(one_nan);
+
+        let mut streamed = ForceEstimator::new(cfg, model.clone());
+        let mut grouped = ForceEstimator::new(cfg, model.clone());
+        let mut reference = None;
+        let mut results = Vec::new();
+        for (g, group) in groups.iter().enumerate() {
+            let mut by_row = Ok(None);
+            for r in group.rows() {
+                by_row = streamed.push_snapshot(r);
+            }
+            let by_group = grouped.push_group(group);
+            assert_same_result(&by_row, &by_group, &format!("group {g}"));
+
+            let start = g as f64 * cfg.group.group_duration_s();
+            let lines = crate::harmonics::extract_lines(&cfg.group, group.view(), start);
+            let Some(locked) = &reference else {
+                reference = Some(average_lines(&[lines]));
+                assert!(matches!(by_row, Ok(None)));
+                continue;
+            };
+            let d = differential(locked, &lines, cfg.averaging);
+            let direct = if d.dphi1_rad.is_finite() && d.dphi2_rad.is_finite() {
+                model
+                    .invert(d.dphi1_rad, d.dphi2_rad, cfg.max_residual_rad)
+                    .map(|e| {
+                        Some(ForceReading {
+                            force_n: e.force_n,
+                            location_m: e.location_m,
+                            dphi1_rad: d.dphi1_rad,
+                            dphi2_rad: d.dphi2_rad,
+                            residual_rad: e.residual_rad,
+                            touched: true,
+                        })
+                    })
+            } else {
+                Err(WiForceError::OutOfModelRange {
+                    phi1: d.dphi1_rad,
+                    phi2: d.dphi2_rad,
+                })
+            };
+            assert_same_result(&by_row, &direct, &format!("group {g} vs direct"));
+            results.push(by_row);
+        }
+        // the pressed groups read as touches and the NaN group fails
+        assert!(matches!(results[..2], [Ok(Some(a)), Ok(Some(b))] if a.touched && b.touched));
+        assert!(matches!(
+            results[2],
+            Err(WiForceError::OutOfModelRange { .. })
+        ));
+    }
+
+    /// A snapshot of the wrong width is refused without touching the
+    /// buffered group, its sums or the reference.
+    #[test]
+    fn mismatched_snapshot_is_refused_and_leaves_the_group_intact() {
+        let cfg = EstimatorConfig {
+            reference_groups: 1,
+            ..EstimatorConfig::wiforce(1000.0)
+        };
+        let (p1, p2) = Simulation::paper_default(0.9e9).vna_phases(4.0, 0.040);
+        let stream: Vec<Vec<Complex>> = synthetic_snapshots(&cfg.group, 1, 0.0, 0.0)
+            .into_iter()
+            .chain(synthetic_snapshots(&cfg.group, 1, p1, p2))
+            .collect();
+        let n = cfg.group.n_snapshots;
+        let run = |bad_at: Option<usize>| {
+            let mut est = ForceEstimator::new(cfg, shared_model());
+            let mut last = Ok(None);
+            for (i, s) in stream.iter().enumerate() {
+                if bad_at == Some(i) {
+                    for width in [s.len() + 1, s.len() - 1, 0] {
+                        let r = est.push_snapshot(&vec![Complex::ONE; width]);
+                        assert!(matches!(r, Err(WiForceError::Config(_))), "{r:?}");
+                    }
+                }
+                last = est.push_snapshot(s);
+            }
+            (last, est.groups_seen())
+        };
+        let (clean, groups) = run(None);
+        assert_eq!(groups, 2);
+        assert!(matches!(clean, Ok(Some(r)) if r.touched));
+        for bad_at in [1, n - 1, n, n + n / 2, 2 * n - 1] {
+            let (dirty, groups) = run(Some(bad_at));
+            assert_eq!(groups, 2, "bad row at {bad_at}");
+            assert_same_result(&dirty, &clean, &format!("bad row at {bad_at}"));
         }
     }
 

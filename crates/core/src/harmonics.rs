@@ -15,6 +15,7 @@
 //! see [`ExtractionMethod`]).
 
 use wiforce_dsp::fft::goertzel_columns;
+use wiforce_dsp::kernels::add_row;
 use wiforce_dsp::linalg::Matrix;
 use wiforce_dsp::{Complex, SnapshotView};
 
@@ -100,13 +101,27 @@ impl GroupLines {
 /// group length (for integer bins the reference is a no-op).
 ///
 /// The mean-subtracted DFT path walks the flat snapshot storage exactly
-/// once per pass (one pass for the per-subcarrier means, one batched
+/// once per pass (one pass for the per-subcarrier sums, one paired
 /// Goertzel pass for both lines × all subcarriers) instead of gathering
 /// each subcarrier's column — same floating-point results, cache-friendly
 /// access.
 pub fn extract_lines(cfg: &PhaseGroupConfig, group: SnapshotView<'_>, start_s: f64) -> GroupLines {
+    extract_lines_summed(cfg, group, None, start_s)
+}
+
+/// [`extract_lines`], optionally with the group's per-subcarrier column
+/// sums supplied by a caller that accumulated them as the snapshots
+/// arrived. `col_sums` must be what the sum pass would compute: one
+/// [`add_row`] per snapshot, in row order, from `+0` — then the lines are
+/// bit-identical and the group is read once instead of twice.
+pub(crate) fn extract_lines_summed(
+    cfg: &PhaseGroupConfig,
+    group: SnapshotView<'_>,
+    col_sums: Option<&[Complex]>,
+    start_s: f64,
+) -> GroupLines {
     let _span = wiforce_telemetry::span!("harmonics.extract_lines");
-    let lines = extract_lines_quiet(cfg, group, start_s);
+    let lines = extract_lines_quiet(cfg, group, col_sums, start_s);
     emit_extraction_telemetry(cfg, &lines);
     lines
 }
@@ -145,6 +160,7 @@ pub(crate) fn emit_extraction_telemetry(cfg: &PhaseGroupConfig, lines: &GroupLin
 pub(crate) fn extract_lines_quiet(
     cfg: &PhaseGroupConfig,
     group: SnapshotView<'_>,
+    col_sums: Option<&[Complex]>,
     start_s: f64,
 ) -> GroupLines {
     assert_eq!(
@@ -163,17 +179,24 @@ pub(crate) fn extract_lines_quiet(
 
     match cfg.method {
         ExtractionMethod::MeanSubtractedDft => {
-            // pass 1: per-subcarrier means, accumulated in row order (the
+            // pass 1: per-subcarrier sums, accumulated in row order (the
             // same addition order as the former per-column gather)
-            let mut means = vec![Complex::ZERO; k_sub];
-            for row in group.rows() {
-                for (m, &x) in means.iter_mut().zip(row) {
-                    *m += x;
+            let mut means = match col_sums {
+                Some(sums) => {
+                    assert_eq!(sums.len(), k_sub, "one column sum per subcarrier");
+                    sums.to_vec()
                 }
-            }
+                None => {
+                    let mut sums = vec![Complex::ZERO; k_sub];
+                    for row in group.rows() {
+                        add_row(&mut sums, row);
+                    }
+                    sums
+                }
+            };
             let inv_n = 1.0 / n as f64;
             means.iter_mut().for_each(|m| *m = m.scale(inv_n));
-            // pass 2: batched mean-subtracted Goertzel, both lines at once
+            // pass 2: paired mean-subtracted Goertzel, both lines at once
             let acc = goertzel_columns(group.as_slice(), k_sub, &[f1_norm, f2_norm], Some(&means));
             // normalize by N so line values approximate the per-snapshot
             // modulated amplitude times the clock Fourier coefficient

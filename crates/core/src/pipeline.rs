@@ -1188,6 +1188,7 @@ impl Simulation {
                     let lines = extract_lines_quiet(
                         spec.cfg,
                         SnapshotView::from_flat(n_cols, rows),
+                        None,
                         start_s,
                     );
                     let mut extracted = 1;
@@ -1196,6 +1197,7 @@ impl Simulation {
                             let fl = extract_lines_quiet(
                                 fc,
                                 SnapshotView::from_flat(n_cols, rows),
+                                None,
                                 spec.first_start,
                             );
                             let _ = floor_slot.set(fl);

@@ -467,20 +467,32 @@ pub fn goertzel_columns(
     let ws: Vec<Complex> = f_norms.iter().map(|&f| Complex::cis(-TAU * f)).collect();
     let mut phases = vec![Complex::ONE; ws.len()];
     let mut out = vec![vec![Complex::ZERO; n_cols]; ws.len()];
+    let zeros;
+    let off = match col_offsets {
+        Some(off) => off,
+        None => {
+            zeros = vec![Complex::ZERO; n_cols];
+            &zeros
+        }
+    };
+    // an odd line count pairs its last line with a scratch accumulator
+    let mut spare = if ws.len() % 2 == 1 {
+        vec![Complex::ZERO; n_cols]
+    } else {
+        Vec::new()
+    };
     for row in data.chunks_exact(n_cols) {
-        // One dispatched row pass per line: each acc[j][k] still receives
-        // exactly one add per row, so the result is bit-identical to the
-        // per-column formulation this replaces.
-        match col_offsets {
-            Some(off) => {
-                for (acc, &phase) in out.iter_mut().zip(&phases) {
-                    crate::kernels::cmac_sub_scaled(acc, row, off, phase);
+        // One dispatched pass per *pair* of lines: each acc[j][k] still
+        // receives exactly one `(x − off) · phase` add per row, so the
+        // result is bit-identical to the per-column formulation this
+        // replaces (a `+0` offset leaves every sample unchanged).
+        for (acc, ph) in out.chunks_mut(2).zip(phases.chunks(2)) {
+            match (acc, ph) {
+                ([a, b], &[pa, pb]) => crate::kernels::cmac2_sub_scaled(a, b, row, off, pa, pb),
+                ([a], &[pa]) => {
+                    crate::kernels::cmac2_sub_scaled(a, &mut spare, row, off, pa, Complex::ZERO)
                 }
-            }
-            None => {
-                for (acc, &phase) in out.iter_mut().zip(&phases) {
-                    crate::kernels::cmac_scaled(acc, row, phase);
-                }
+                _ => unreachable!("accumulators and phases pair up alike"),
             }
         }
         for (phase, &w) in phases.iter_mut().zip(&ws) {
@@ -834,6 +846,57 @@ mod tests {
                 .map(|n| data[n * n_cols + k] - means[k])
                 .collect();
             assert_eq!(batched[0][k], goertzel(&col, f_norms[0]), "col {k}");
+        }
+    }
+
+    #[test]
+    fn goertzel_columns_pairs_odd_line_counts_bit_identically() {
+        // odd counts leave the last line paired with a scratch accumulator;
+        // with and without offsets, every line must still equal its own
+        // per-column Goertzel
+        let n_rows = 33;
+        let n_cols = 9;
+        let data: Vec<Complex> = (0..n_rows * n_cols)
+            .map(|i| Complex::new((i as f64 * 0.19).cos(), (i as f64 * 0.37).sin()))
+            .collect();
+        let offsets: Vec<Complex> = (0..n_cols)
+            .map(|k| Complex::new(0.2 - 0.03 * k as f64, 0.01 * k as f64))
+            .collect();
+        for f_norms in [
+            &[0.0576][..],
+            &[0.0576, 0.1152, 0.2304],
+            &[0.01, 0.02, 0.03, 0.04, 0.05],
+        ] {
+            for off in [None, Some(offsets.as_slice())] {
+                let batched = goertzel_columns(&data, n_cols, f_norms, off);
+                assert_eq!(batched.len(), f_norms.len());
+                for k in 0..n_cols {
+                    let o = off.map_or(Complex::ZERO, |o| o[k]);
+                    let col: Vec<Complex> = (0..n_rows)
+                        .map(|n| {
+                            let x = data[n * n_cols + k];
+                            if off.is_some() {
+                                x - o
+                            } else {
+                                x
+                            }
+                        })
+                        .collect();
+                    for (j, &f) in f_norms.iter().enumerate() {
+                        let want = goertzel(&col, f);
+                        assert_eq!(
+                            batched[j][k].re.to_bits(),
+                            want.re.to_bits(),
+                            "bin {j} col {k}"
+                        );
+                        assert_eq!(
+                            batched[j][k].im.to_bits(),
+                            want.im.to_bits(),
+                            "bin {j} col {k}"
+                        );
+                    }
+                }
+            }
         }
     }
 

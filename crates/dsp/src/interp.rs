@@ -106,7 +106,7 @@ pub fn catmull_rom(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, InterpError> {
 /// scan, which sweeps force rows under fixed location columns) build the
 /// stencil once per abscissa and pay four multiply-adds per evaluation
 /// instead of a full bracket + tangent computation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CatmullStencil {
     /// First sample index the taps apply to.
     base: usize,
@@ -125,6 +125,19 @@ impl CatmullStencil {
             acc += w * y;
         }
         acc
+    }
+
+    /// The weight this stencil gives sample `k` of the grid: its tap
+    /// weight where a tap lands on `k`, `0.0` elsewhere. Expanding a
+    /// stencil to these dense weights (see
+    /// [`crate::kernels::stencil_rows`]) reproduces [`Self::eval`]'s bits
+    /// on finite samples.
+    #[inline]
+    pub fn weight(&self, k: usize) -> f64 {
+        match k.checked_sub(self.base) {
+            Some(tap) if tap < self.w.len() => self.w[tap],
+            _ => 0.0,
+        }
     }
 }
 

@@ -51,8 +51,8 @@ pub const KERNEL_NAMES: &[&str] = &[
     "philox_normals",
     "philox_normals_rows",
     "box_muller_normals",
-    "cmac_scaled",
-    "cmac_sub_scaled",
+    "add_row",
+    "cmac2_sub_scaled",
     "synth_truth",
     "accumulate_state",
     "blend_states",
@@ -63,6 +63,10 @@ pub const KERNEL_NAMES: &[&str] = &[
     "wrap_phases",
     "apply_window",
     "quantize_complex",
+    "horner_lanes",
+    "stencil_rows",
+    "phase_cost_rows",
+    "first_min",
 ];
 
 fn detect(force_scalar: bool) -> Backend {
@@ -122,29 +126,29 @@ pub fn active_kernels() -> Vec<(&'static str, &'static str)> {
 macro_rules! simd_kernel {
     (
         $(#[$doc:meta])*
-        pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?)
+        pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
             = $body:ident / $avx2:ident / $avx512:ident / $neon:ident
     ) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
-        fn $avx2($($arg: $ty),*) {
+        fn $avx2($($arg: $ty),*) $(-> $ret)? {
             $body($($arg),*)
         }
 
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-        fn $avx512($($arg: $ty),*) {
+        fn $avx512($($arg: $ty),*) $(-> $ret)? {
             $body($($arg),*)
         }
 
         #[cfg(target_arch = "aarch64")]
         #[target_feature(enable = "neon")]
-        fn $neon($($arg: $ty),*) {
+        fn $neon($($arg: $ty),*) $(-> $ret)? {
             $body($($arg),*)
         }
 
         $(#[$doc])*
-        pub fn $name($($arg: $ty),*) {
+        pub fn $name($($arg: $ty),*) $(-> $ret)? {
             match backend() {
                 // Safety: each arm was gated on runtime detection of the
                 // exact feature its wrapper enables.
@@ -260,31 +264,44 @@ simd_kernel! {
 // ---------------------------------------------------------------------
 
 #[inline(always)]
-fn cmac_scaled_body(acc: &mut [Complex], x: &[Complex], s: Complex) {
+fn add_row_body(acc: &mut [Complex], x: &[Complex]) {
     for (a, &v) in acc.iter_mut().zip(x) {
-        *a += v * s;
+        *a += v;
     }
 }
 
 simd_kernel! {
-    /// `acc[i] += x[i] · s` — the offset-free Goertzel row update.
-    pub fn cmac_scaled(acc: &mut [Complex], x: &[Complex], s: Complex)
-        = cmac_scaled_body / cmac_scaled_avx2 / cmac_scaled_avx512 / cmac_scaled_neon
+    /// `acc[i] += x[i]` — one snapshot's contribution to the
+    /// per-subcarrier column sums behind the harmonic extractor's means.
+    pub fn add_row(acc: &mut [Complex], x: &[Complex])
+        = add_row_body / add_row_avx2 / add_row_avx512 / add_row_neon
 }
 
 #[inline(always)]
-fn cmac_sub_scaled_body(acc: &mut [Complex], x: &[Complex], off: &[Complex], s: Complex) {
-    for ((a, &v), &o) in acc.iter_mut().zip(x).zip(off) {
-        *a += (v - o) * s;
+fn cmac2_sub_scaled_body(
+    acc_a: &mut [Complex],
+    acc_b: &mut [Complex],
+    x: &[Complex],
+    off: &[Complex],
+    s_a: Complex,
+    s_b: Complex,
+) {
+    for (((a, b), &v), &o) in acc_a.iter_mut().zip(acc_b.iter_mut()).zip(x).zip(off) {
+        let d = v - o;
+        *a += d * s_a;
+        *b += d * s_b;
     }
 }
 
 simd_kernel! {
-    /// `acc[i] += (x[i] − off[i]) · s` — the mean-removed Goertzel row
-    /// update.
-    pub fn cmac_sub_scaled(acc: &mut [Complex], x: &[Complex], off: &[Complex], s: Complex)
-        = cmac_sub_scaled_body / cmac_sub_scaled_avx2
-        / cmac_sub_scaled_avx512 / cmac_sub_scaled_neon
+    /// Two mean-removed Goertzel row updates from one read of the row:
+    /// `d = x[i] − off[i]`, then `acc_a[i] += d · s_a` and
+    /// `acc_b[i] += d · s_b`. Each accumulator sees exactly the
+    /// single-line update `acc += (x − off) · s`; an all-`+0` `off`
+    /// gives the offset-free update, since `x − (+0) = x` for every `x`.
+    pub fn cmac2_sub_scaled(acc_a: &mut [Complex], acc_b: &mut [Complex], x: &[Complex], off: &[Complex], s_a: Complex, s_b: Complex)
+        = cmac2_sub_scaled_body / cmac2_sub_scaled_avx2
+        / cmac2_sub_scaled_avx512 / cmac2_sub_scaled_neon
 }
 
 #[inline(always)]
@@ -592,6 +609,164 @@ simd_kernel! {
         / quantize_complex_avx512 / quantize_complex_neon
 }
 
+// ---------------------------------------------------------------------
+// Model-inversion grid: polynomial samples, stencil rows, phase cost
+// ---------------------------------------------------------------------
+
+#[inline(always)]
+fn horner_lanes_body(out: &mut [f64], coeffs: &[f64], xs: &[f64]) {
+    out.fill(0.0);
+    for &c in coeffs.iter().rev() {
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = *o * x + c;
+        }
+    }
+}
+
+simd_kernel! {
+    /// Evaluates one polynomial (ascending-power `coeffs`) at every
+    /// `xs[i]` into `out[i]`, vectorized across the points. Each lane runs
+    /// [`crate::polyfit::Polynomial::eval`]'s Horner steps from `0.0`, so
+    /// `out[i]` is bit-identical to `eval(xs[i])`.
+    pub fn horner_lanes(out: &mut [f64], coeffs: &[f64], xs: &[f64])
+        = horner_lanes_body / horner_lanes_avx2 / horner_lanes_avx512 / horner_lanes_neon
+}
+
+#[inline(always)]
+fn stencil_rows_body(out: &mut [f64], samples: &[f64], weights: &[f64], n_taps: usize) {
+    const LANES: usize = 8;
+    if n_taps == 0 {
+        return;
+    }
+    let rows = samples.len() / n_taps;
+    let cols = weights.len() / n_taps;
+    if cols == 0 {
+        return;
+    }
+    let body = cols - cols % LANES;
+    for (i, row) in out.chunks_exact_mut(cols).take(rows).enumerate() {
+        // eight columns at a time, their sums held across the taps
+        for (c, o) in row[..body].chunks_exact_mut(LANES).enumerate() {
+            let mut acc = [0.0f64; LANES];
+            for k in 0..n_taps {
+                let y = samples[k * rows + i];
+                let w = &weights[k * cols + c * LANES..][..LANES];
+                for (a, &wk) in acc.iter_mut().zip(w) {
+                    *a += wk * y;
+                }
+            }
+            o.copy_from_slice(&acc);
+        }
+        for (j, o) in row.iter_mut().enumerate().skip(body) {
+            let mut acc = 0.0;
+            for k in 0..n_taps {
+                acc += weights[k * cols + j] * samples[k * rows + i];
+            }
+            *o = acc;
+        }
+    }
+}
+
+simd_kernel! {
+    /// Applies dense interpolation weights to rows of samples:
+    /// `out[i·cols + j] = Σₖ weights[k·cols + j] · samples[k·rows + i]`,
+    /// summed from `0.0` in ascending `k`, with `rows = samples.len() /
+    /// n_taps` and `cols = weights.len() / n_taps`. Vectorized across the
+    /// `cols` columns of a row. With finite samples, a zero weight adds
+    /// `±0` to a sum that started at `+0` and so can never be `−0`, which
+    /// leaves it unchanged: a stencil expanded to dense weights gives
+    /// [`crate::interp::CatmullStencil::eval`]'s bits.
+    pub fn stencil_rows(out: &mut [f64], samples: &[f64], weights: &[f64], n_taps: usize)
+        = stencil_rows_body / stencil_rows_avx2 / stencil_rows_avx512 / stencil_rows_neon
+}
+
+#[inline(always)]
+fn phase_cost_rows_body(cost: &mut [f64], p1: &[f64], p2: &[f64], phi: [f64; 2], row_len: usize) {
+    use crate::phase::wrap_to_pi;
+    use crate::{PI, TAU};
+    if row_len == 0 {
+        return;
+    }
+    for ((c_row, a_row), b_row) in cost
+        .chunks_exact_mut(row_len)
+        .zip(p1.chunks_exact(row_len))
+        .zip(p2.chunks_exact(row_len))
+    {
+        // `wrap_to_pi`'s in-range path as a lane select; a lane outside
+        // `[0, 2π)` (or NaN) sends the whole row to the scalar form
+        let mut outside = false;
+        for ((c, &a), &b) in c_row.iter_mut().zip(a_row).zip(b_row) {
+            let s1 = (a - phi[0]) + PI;
+            let s2 = (b - phi[1]) + PI;
+            outside |= !((0.0..TAU).contains(&s1) & (0.0..TAU).contains(&s2));
+            let t1 = if s1 == 0.0 { TAU } else { s1 };
+            let t2 = if s2 == 0.0 { TAU } else { s2 };
+            let (e1, e2) = (t1 - PI, t2 - PI);
+            *c = e1 * e1 + e2 * e2;
+        }
+        if outside {
+            for ((c, &a), &b) in c_row.iter_mut().zip(a_row).zip(b_row) {
+                let e1 = wrap_to_pi(a - phi[0]);
+                let e2 = wrap_to_pi(b - phi[1]);
+                *c = e1 * e1 + e2 * e2;
+            }
+        }
+    }
+}
+
+simd_kernel! {
+    /// Squared wrapped phase residual per grid cell:
+    /// `cost[i] = wrap_to_pi(p1[i] − phi[0])² + wrap_to_pi(p2[i] − phi[1])²`,
+    /// processed in rows of `row_len` cells (a trailing partial row is
+    /// left untouched). Bit-identical to the scalar expression per cell.
+    pub fn phase_cost_rows(cost: &mut [f64], p1: &[f64], p2: &[f64], phi: [f64; 2], row_len: usize)
+        = phase_cost_rows_body / phase_cost_rows_avx2
+        / phase_cost_rows_avx512 / phase_cost_rows_neon
+}
+
+#[inline(always)]
+fn first_min_body(cost: &[f64], below: f64) -> Option<usize> {
+    // the minimum by independent per-lane selects (no serial chain), then
+    // its first position: the cell a strict-`<` scan would stop on
+    const LANES: usize = 8;
+    let mut lanes = [f64::INFINITY; LANES];
+    let mut chunks = cost.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (m, &c) in lanes.iter_mut().zip(chunk) {
+            if c < *m {
+                *m = c;
+            }
+        }
+    }
+    let mut min = below;
+    for &c in lanes.iter().chain(chunks.remainder()) {
+        if c < min {
+            min = c;
+        }
+    }
+    if min < below {
+        // whole-chunk equality tests, then the position inside the hit chunk
+        let mut offset = 0;
+        for chunk in cost.chunks(LANES) {
+            if chunk.iter().fold(false, |hit, &c| hit | (c == min)) {
+                return chunk.iter().position(|&c| c == min).map(|p| offset + p);
+            }
+            offset += chunk.len();
+        }
+    }
+    None
+}
+
+simd_kernel! {
+    /// The cell an in-order scan `if cost[i] < best { best = cost[i] }`
+    /// started at `best = below` would end on, or `None` if no cell is
+    /// strictly below `below`. NaN never wins and ties keep the earlier
+    /// cell, exactly as in that scan: the result is the first occurrence
+    /// of the smallest value.
+    pub fn first_min(cost: &[f64], below: f64) -> Option<usize>
+        = first_min_body / first_min_avx2 / first_min_avx512 / first_min_neon
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,26 +872,90 @@ mod tests {
         }
     }
 
+    /// Samples with the values where `x − (+0) = x` needs care: ±0, NaN
+    /// and ±∞ beside ordinary finite values.
+    fn edge_complexes(rng: &mut StdRng, n: usize) -> Vec<Complex> {
+        let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut x = complexes(rng, n);
+        for (i, z) in x.iter_mut().enumerate().step_by(3) {
+            z.re = specials[i % specials.len()];
+            z.im = specials[(i / 3) % specials.len()];
+        }
+        x
+    }
+
+    fn f64_bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_bits_or_nan(a: &[Complex], b: &[Complex]) {
+        let same = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert!(same(x.re, y.re) && same(x.im, y.im), "{i}: {x:?} vs {y:?}");
+        }
+    }
+
+    /// The paired Goertzel row update: dispatched entry vs scalar body,
+    /// and each accumulator vs the single-line mean-removed update.
     #[test]
     fn cmac_kernels_match_scalar_bitwise() {
         let mut rng = StdRng::seed_from_u64(2);
         for n in [1, 5, 8, 64, 127] {
             let x = complexes(&mut rng, n);
             let off = complexes(&mut rng, n);
-            let s = Complex::new(rng.gen(), rng.gen());
+            let (sa, sb) = (
+                Complex::new(rng.gen(), rng.gen()),
+                Complex::new(rng.gen(), rng.gen()),
+            );
+            let (base_a, base_b) = (complexes(&mut rng, n), complexes(&mut rng, n));
+
+            let (mut a, mut b) = (base_a.clone(), base_b.clone());
+            cmac2_sub_scaled(&mut a, &mut b, &x, &off, sa, sb);
+            let (mut wa, mut wb) = (base_a.clone(), base_b.clone());
+            cmac2_sub_scaled_body(&mut wa, &mut wb, &x, &off, sa, sb);
+            assert_bits_eq(&a, &wa);
+            assert_bits_eq(&b, &wb);
+            // each accumulator sees the single-line mean-removed update
+            let single = |base: &[Complex], s| -> Vec<Complex> {
+                base.iter()
+                    .zip(&x)
+                    .zip(&off)
+                    .map(|((&acc, &v), &o)| acc + (v - o) * s)
+                    .collect()
+            };
+            assert_bits_eq(&a, &single(&base_a, sa));
+            assert_bits_eq(&b, &single(&base_b, sb));
+        }
+    }
+
+    #[test]
+    fn paired_cmac_with_zero_offsets_is_the_offset_free_update() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for n in [1, 7, 64, 99] {
+            let x = edge_complexes(&mut rng, n);
+            let zeros = vec![Complex::ZERO; n];
+            let (sa, sb) = (Complex::new(0.3, -0.7), Complex::new(-1.1, 0.2));
+            let (base_a, base_b) = (complexes(&mut rng, n), complexes(&mut rng, n));
+            let (mut a, mut b) = (base_a.clone(), base_b.clone());
+            cmac2_sub_scaled(&mut a, &mut b, &x, &zeros, sa, sb);
+            let free = |base: &[Complex], s| -> Vec<Complex> {
+                base.iter().zip(&x).map(|(&acc, &v)| acc + v * s).collect()
+            };
+            assert_bits_or_nan(&a, &free(&base_a, sa));
+            assert_bits_or_nan(&b, &free(&base_b, sb));
+        }
+    }
+
+    #[test]
+    fn add_row_matches_scalar_bitwise() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for n in [1, 8, 64, 65] {
+            let x = edge_complexes(&mut rng, n);
             let base = complexes(&mut rng, n);
-
             let mut got = base.clone();
-            cmac_scaled(&mut got, &x, s);
-            let mut want = base.clone();
-            cmac_scaled_body(&mut want, &x, s);
-            assert_bits_eq(&got, &want);
-
-            let mut got = base.clone();
-            cmac_sub_scaled(&mut got, &x, &off, s);
-            let mut want = base.clone();
-            cmac_sub_scaled_body(&mut want, &x, &off, s);
-            assert_bits_eq(&got, &want);
+            add_row(&mut got, &x);
+            let want: Vec<Complex> = base.iter().zip(&x).map(|(&a, &v)| a + v).collect();
+            assert_bits_or_nan(&got, &want);
         }
     }
 
@@ -912,6 +1151,230 @@ mod tests {
             let mut want = row.clone();
             quantize_complex_body(&mut want, full_scale, step);
             assert_bits_eq(&got, &want);
+        }
+    }
+
+    #[test]
+    fn horner_lanes_match_polynomial_eval_bitwise() {
+        let mut rng = StdRng::seed_from_u64(14);
+        for (n, degree) in [(1usize, 0usize), (7, 3), (21, 3), (33, 5)] {
+            let coeffs: Vec<f64> = (0..=degree).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
+            let xs: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 16.0 - 8.0).collect();
+            let mut got = vec![f64::NAN; n];
+            horner_lanes(&mut got, &coeffs, &xs);
+            let poly = crate::polyfit::Polynomial::new(coeffs.clone());
+            for (g, &x) in got.iter().zip(&xs) {
+                assert_eq!(g.to_bits(), poly.eval(x).to_bits(), "x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn stencil_rows_match_sparse_stencils_bitwise() {
+        use crate::interp::catmull_stencil;
+        let mut rng = StdRng::seed_from_u64(15);
+        let grid = [0.020, 0.030, 0.040, 0.050, 0.060];
+        let nk = grid.len();
+        let (rows, cols) = (21usize, 23usize);
+        // query points beyond both ends, on knots and inside every interval
+        let stencils: Vec<_> = (0..cols)
+            .map(|j| catmull_stencil(&grid, 0.015 + 0.05 * j as f64 / (cols - 1) as f64).unwrap())
+            .collect();
+        let mut weights = vec![0.0; nk * cols];
+        for (j, st) in stencils.iter().enumerate() {
+            for k in 0..nk {
+                weights[k * cols + j] = st.weight(k);
+            }
+        }
+        // finite samples of every sign, including ±0
+        let mut samples: Vec<f64> = (0..nk * rows)
+            .map(|_| rng.gen::<f64>() * 6.0 - 3.0)
+            .collect();
+        samples[0] = -0.0;
+        samples[rows + 1] = 0.0;
+        let mut got = vec![f64::NAN; rows * cols];
+        stencil_rows(&mut got, &samples, &weights, nk);
+        let mut body = vec![f64::NAN; rows * cols];
+        stencil_rows_body(&mut body, &samples, &weights, nk);
+        for i in 0..rows {
+            let ys: Vec<f64> = (0..nk).map(|k| samples[k * rows + i]).collect();
+            for (j, st) in stencils.iter().enumerate() {
+                let want = st.eval(&ys);
+                assert_eq!(
+                    got[i * cols + j].to_bits(),
+                    want.to_bits(),
+                    "row {i} col {j}"
+                );
+                assert_eq!(body[i * cols + j].to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn phase_cost_rows_match_scalar_wrap_bitwise() {
+        use crate::phase::wrap_to_pi;
+        use crate::PI;
+        let mut rng = StdRng::seed_from_u64(16);
+        let row_len = 46;
+        let rows = 9;
+        // ordinary phases, then rows seeded with the wrap's edge cases so
+        // the scalar fallback runs beside fast rows
+        let mut p1: Vec<f64> = (0..rows * row_len)
+            .map(|_| rng.gen::<f64>() * 4.0 - 2.0)
+            .collect();
+        let mut p2: Vec<f64> = (0..rows * row_len)
+            .map(|_| rng.gen::<f64>() * 4.0 - 2.0)
+            .collect();
+        let edges = [
+            PI,
+            -PI,
+            PI - 1e-3,
+            -PI + 1e-3,
+            3.5,
+            -7.0,
+            f64::NAN,
+            f64::INFINITY,
+            -0.0,
+        ];
+        for (r, &e) in edges.iter().enumerate().take(rows - 1) {
+            p1[(r + 1) * row_len + r] = e;
+            p2[(r + 1) * row_len + 2 * r] = -e;
+        }
+        for phi in [[0.3, -0.2], [PI - 1e-4, -PI + 1e-4], [-PI, PI]] {
+            let mut got = vec![f64::NAN; rows * row_len + 3];
+            phase_cost_rows(&mut got, &p1, &p2, phi, row_len);
+            let mut body = vec![f64::NAN; rows * row_len + 3];
+            phase_cost_rows_body(&mut body, &p1, &p2, phi, row_len);
+            for i in 0..rows * row_len {
+                let e1 = wrap_to_pi(p1[i] - phi[0]);
+                let e2 = wrap_to_pi(p2[i] - phi[1]);
+                let want = e1 * e1 + e2 * e2;
+                let same = |x: f64| x.to_bits() == want.to_bits() || (x.is_nan() && want.is_nan());
+                assert!(
+                    same(got[i]) && same(body[i]),
+                    "cell {i}: {} vs {want}",
+                    got[i]
+                );
+            }
+            assert!(
+                got[rows * row_len..].iter().all(|c| c.is_nan()),
+                "partial row untouched"
+            );
+        }
+    }
+
+    #[test]
+    fn first_min_matches_in_order_scan() {
+        let mut rng = StdRng::seed_from_u64(18);
+        // few distinct values, so ties land inside and across chunks
+        let values = [0.0, 0.25, 0.5, 1.0, f64::NAN, f64::INFINITY];
+        for n in [0usize, 1, 7, 8, 9, 46, 576, 1968] {
+            let cost: Vec<f64> = (0..n)
+                .map(|_| values[rng.gen::<usize>() % values.len()])
+                .collect();
+            for below in [f64::INFINITY, 1.0, 0.25, 0.0] {
+                let mut want = None;
+                let mut best = below;
+                for (i, &c) in cost.iter().enumerate() {
+                    if c < best {
+                        best = c;
+                        want = Some(i);
+                    }
+                }
+                assert_eq!(first_min(&cost, below), want, "n={n} below={below}");
+                assert_eq!(first_min_body(&cost, below), want, "n={n} below={below}");
+            }
+        }
+    }
+
+    /// The per-ISA instantiations of the extraction and inversion kernels
+    /// agree with their scalar bodies on machines that have the features.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn extraction_and_inversion_isa_instantiations_match_scalar_bitwise() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let n = 67;
+        let x = edge_complexes(&mut rng, n);
+        let off = complexes(&mut rng, n);
+        let (sa, sb) = (Complex::new(0.6, -0.1), Complex::new(-0.4, 0.9));
+        let base = complexes(&mut rng, n);
+        let coeffs = [0.25, -1.5, 0.75, 0.125];
+        let xs: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 8.0).collect();
+        let samples: Vec<f64> = (0..5 * 21).map(|_| rng.gen::<f64>() - 0.5).collect();
+        let weights: Vec<f64> = (0..5 * 23)
+            .map(|i| if i % 3 == 0 { 0.0 } else { rng.gen() })
+            .collect();
+        let p1: Vec<f64> = (0..4 * 21).map(|_| rng.gen::<f64>() * 9.0 - 4.5).collect();
+        let p2: Vec<f64> = (0..4 * 21).map(|_| rng.gen::<f64>() * 9.0 - 4.5).collect();
+
+        type Isa = (
+            unsafe fn(&mut [Complex], &mut [Complex], &[Complex], &[Complex], Complex, Complex),
+            unsafe fn(&mut [Complex], &[Complex]),
+            unsafe fn(&mut [f64], &[f64], &[f64]),
+            unsafe fn(&mut [f64], &[f64], &[f64], usize),
+            unsafe fn(&mut [f64], &[f64], &[f64], [f64; 2], usize),
+        );
+        let mut isas: Vec<(&str, Isa)> = Vec::new();
+        if std::arch::is_x86_feature_detected!("avx2") {
+            isas.push((
+                "avx2",
+                (
+                    cmac2_sub_scaled_avx2,
+                    add_row_avx2,
+                    horner_lanes_avx2,
+                    stencil_rows_avx2,
+                    phase_cost_rows_avx2,
+                ),
+            ));
+        }
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+        {
+            isas.push((
+                "avx512",
+                (
+                    cmac2_sub_scaled_avx512,
+                    add_row_avx512,
+                    horner_lanes_avx512,
+                    stencil_rows_avx512,
+                    phase_cost_rows_avx512,
+                ),
+            ));
+        }
+        for (name, (cmac2, add, horner, stencil, cost)) in isas {
+            // Safety: each instantiation's features were just detected.
+            unsafe {
+                for o in [&off, &vec![Complex::ZERO; n]] {
+                    let (mut a, mut b) = (base.clone(), base.clone());
+                    cmac2(&mut a, &mut b, &x, o, sa, sb);
+                    let (mut wa, mut wb) = (base.clone(), base.clone());
+                    cmac2_sub_scaled_body(&mut wa, &mut wb, &x, o, sa, sb);
+                    assert_bits_or_nan(&a, &wa);
+                    assert_bits_or_nan(&b, &wb);
+                }
+                let (mut a, mut w) = (base.clone(), base.clone());
+                add(&mut a, &x);
+                add_row_body(&mut w, &x);
+                assert_bits_or_nan(&a, &w);
+
+                let (mut a, mut w) = (vec![0.0; n], vec![0.0; n]);
+                horner(&mut a, &coeffs, &xs);
+                horner_lanes_body(&mut w, &coeffs, &xs);
+                assert_eq!(f64_bits(&a), f64_bits(&w), "{name} horner_lanes");
+
+                let (mut a, mut w) = (vec![0.0; 21 * 23], vec![0.0; 21 * 23]);
+                stencil(&mut a, &samples, &weights, 5);
+                stencil_rows_body(&mut w, &samples, &weights, 5);
+                assert_eq!(f64_bits(&a), f64_bits(&w), "{name} stencil_rows");
+
+                for phi in [[0.1, 0.2], [3.1, -3.1]] {
+                    let (mut a, mut w) = (vec![0.0; 4 * 21], vec![0.0; 4 * 21]);
+                    cost(&mut a, &p1, &p2, phi, 21);
+                    phase_cost_rows_body(&mut w, &p1, &p2, phi, 21);
+                    assert_eq!(f64_bits(&a), f64_bits(&w), "{name} phase_cost_rows");
+                }
+            }
         }
     }
 

@@ -1,15 +1,33 @@
 //! Telemetry must be an observer, not a participant: enabling the
 //! recorder may not change a single output bit of the estimation
 //! pipeline, because the instrumentation never touches RNG or numeric
-//! state. Runs the same seeded press with the recorder off and on and
-//! compares every field bitwise.
+//! state. Runs the same seeded press, and the same streamed capture, with
+//! the recorder off and on and compares every field bitwise.
+//!
+//! The recorder gate is a process global, so the tests that flip it
+//! hold one shared lock.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wiforce::estimator::ForceReading;
-use wiforce::pipeline::Simulation;
+use std::sync::{Mutex, MutexGuard};
+use wiforce::estimator::{EstimatorConfig, ForceEstimator, ForceReading};
+use wiforce::pipeline::{Simulation, TagClock};
 use wiforce::WiForceError;
+
+fn gate() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn same_bits(a: &ForceReading, b: &ForceReading) -> bool {
+    a.force_n.to_bits() == b.force_n.to_bits()
+        && a.location_m.to_bits() == b.location_m.to_bits()
+        && a.dphi1_rad.to_bits() == b.dphi1_rad.to_bits()
+        && a.dphi2_rad.to_bits() == b.dphi2_rad.to_bits()
+        && a.residual_rad.to_bits() == b.residual_rad.to_bits()
+        && a.touched == b.touched
+}
 
 fn run_press(
     sim: &Simulation,
@@ -37,6 +55,7 @@ proptest! {
         sim.measure_groups = 1;
         let model = sim.vna_calibration().expect("calibration");
 
+        let _gate = gate();
         wiforce_telemetry::set_enabled(false);
         wiforce_telemetry::reset();
         let off = run_press(&sim, &model, force, loc, seed);
@@ -48,14 +67,7 @@ proptest! {
         let recorded = wiforce_telemetry::take();
 
         match (off, on) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.force_n.to_bits(), b.force_n.to_bits());
-                prop_assert_eq!(a.location_m.to_bits(), b.location_m.to_bits());
-                prop_assert_eq!(a.dphi1_rad.to_bits(), b.dphi1_rad.to_bits());
-                prop_assert_eq!(a.dphi2_rad.to_bits(), b.dphi2_rad.to_bits());
-                prop_assert_eq!(a.residual_rad.to_bits(), b.residual_rad.to_bits());
-                prop_assert_eq!(a.touched, b.touched);
-            }
+            (Ok(a), Ok(b)) => prop_assert!(same_bits(&a, &b), "{a:?} vs {b:?}"),
             (Err(_), Err(_)) => {}
             (a, b) => prop_assert!(false, "off/on diverged: {a:?} vs {b:?}"),
         }
@@ -67,4 +79,53 @@ proptest! {
             .keys()
             .any(|k| k.starts_with("pipeline.measure_press")));
     }
+}
+
+/// The streaming estimator, snapshot by snapshot: same readings with the
+/// recorder off and on, and the instrumented run splits each reading into
+/// extraction, group handling and the nested model inversion.
+#[test]
+fn telemetry_does_not_perturb_streaming_readings() {
+    let mut sim = Simulation::paper_default(2.4e9);
+    sim.reference_groups = 1;
+    sim.measure_groups = 1;
+    let model = sim.vna_calibration().expect("calibration");
+    let cfg = EstimatorConfig {
+        reference_groups: 1,
+        group: sim.group,
+        ..EstimatorConfig::wiforce(sim.group.line1_hz)
+    };
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut clock = TagClock::new(&mut rng);
+    let quiet = sim.run_snapshots(None, 1, &mut clock, &mut rng);
+    let contact = sim.contact_for(4.0, 0.035);
+    let pressed = sim.run_snapshots(contact.as_ref(), 2, &mut clock, &mut rng);
+    let run = || -> Vec<ForceReading> {
+        let mut est = ForceEstimator::new(cfg, model.clone());
+        quiet
+            .rows()
+            .chain(pressed.rows())
+            .filter_map(|row| est.push_snapshot(row).expect("clean capture"))
+            .collect()
+    };
+
+    let _gate = gate();
+    wiforce_telemetry::set_enabled(false);
+    wiforce_telemetry::reset();
+    let off = run();
+    wiforce_telemetry::set_enabled(true);
+    wiforce_telemetry::reset();
+    let on = run();
+    wiforce_telemetry::set_enabled(false);
+    let recorded = wiforce_telemetry::take();
+
+    assert_eq!(off.len(), 2);
+    assert_eq!(on.len(), 2);
+    for (a, b) in off.iter().zip(&on) {
+        assert!(a.touched && same_bits(a, b), "{a:?} vs {b:?}");
+    }
+    let count = |path: &str| recorded.spans.get(path).map_or(0, |h| h.count);
+    assert_eq!(count("harmonics.extract_lines"), 3);
+    assert_eq!(count("estimator.group"), 3);
+    assert_eq!(count("estimator.group/estimator.model_invert"), 2);
 }
