@@ -59,7 +59,7 @@
 use crate::calib::SensorModel;
 use crate::estimator::{EstimatorConfig, ForceEstimator, ForceReading};
 use crate::multisensor::ContinuumSurface;
-use crate::pipeline::{Simulation, Sounder, TagClock, SYNTH_CHUNK_ROWS};
+use crate::pipeline::{contact_words, Simulation, Sounder, TagClock, SYNTH_CHUNK_ROWS};
 use crate::tracking::{TrackedReading, Tracker, TrackerConfig};
 use crate::WiForceError;
 use rand::rngs::StdRng;
@@ -612,13 +612,6 @@ impl ReaderProducer {
         const TAG_TABLE_SALT: u64 = 0x7461_675f_7462_6c31; // "tag_tbl1"
         const PAYLOAD_TABLE_SALT: u64 = 0x706c_645f_7462_6c31; // "pld_tbl1"
         const STATIC_PAYLOAD_SALT: u64 = 0x7374_6174_6963_706c; // "staticpl"
-                                                                // port lengths are finite (clamped to [0, beam length]), so the
-                                                                // all-ones NaN pattern can never collide with a real contact
-        let contact_words = |c: Option<&ContactState>| -> [u64; 2] {
-            c.map_or([u64::MAX, u64::MAX], |c| {
-                [c.port1_short_m.to_bits(), c.port2_short_m.to_bits()]
-            })
-        };
         let channel_table = |contact: Option<&ContactState>| -> Arc<Vec<[Complex; 4]>> {
             let [w1, w2] = contact_words(contact);
             cache.response_tables(config_token([TAG_TABLE_SALT, w1, w2]), 0, || {

@@ -300,8 +300,9 @@ impl SensorModel {
     }
 
     /// Loads a model saved by [`Self::save`]. The header's curve count
-    /// must fit the file's lines, and every location, coefficient and
-    /// force bound must be finite; violations are `InvalidData` errors.
+    /// must fit the file's lines, every location, coefficient and force
+    /// bound must be finite, and the force range must have min < max;
+    /// violations are `InvalidData` errors.
     pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
         use std::io::{Error, ErrorKind};
         let bad = |msg: &str| Error::new(ErrorKind::InvalidData, msg.to_string());
@@ -326,6 +327,9 @@ impl SensorModel {
             .ok_or_else(|| bad("bad force range"))?;
         if !(force_min_n.is_finite() && force_max_n.is_finite()) {
             return Err(bad("non-finite force range"));
+        }
+        if force_min_n >= force_max_n {
+            return Err(bad("force range needs min < max"));
         }
         if n > text.lines().count() - 1 {
             return Err(bad("curve count exceeds the file's lines"));
@@ -472,5 +476,105 @@ mod persistence_tests {
         let cut: String = text.lines().take(2).collect::<Vec<_>>().join("\n");
         std::fs::write(&path, cut).unwrap();
         assert!(SensorModel::load(&path).is_err());
+    }
+
+    fn header_with_range(text: &str, range: &str) -> String {
+        let (head, body) = text.split_once('\n').unwrap();
+        let n = head.split_whitespace().nth(1).unwrap();
+        format!("WFM1 {n} {range}\n{body}")
+    }
+
+    #[test]
+    fn load_rejects_inverted_force_range() {
+        // min above max made `invert` panic in `f64::clamp`
+        let path = tmp("inverted.wfm");
+        sample_model().save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, header_with_range(&text, "8 0.5")).unwrap();
+        let err = SensorModel::load(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn load_rejects_empty_force_range() {
+        // min equal to max read every press as that one force
+        let path = tmp("empty_range.wfm");
+        sample_model().save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, header_with_range(&text, "0.5 0.5")).unwrap();
+        let err = SensorModel::load(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
+
+    /// What a loaded model must survive: inversions anywhere on the phase
+    /// torus, including its seams, return without panicking.
+    fn inverts_cleanly(m: &SensorModel) {
+        for (p1, p2) in [
+            (0.0, 0.0),
+            (0.4, -0.3),
+            (-3.1, 3.1),
+            (std::f64::consts::PI, -std::f64::consts::PI),
+            (2.0, 1.0),
+        ] {
+            let _ = m.invert(p1, p2, 0.35);
+        }
+    }
+
+    fn sample_bytes(name: &str) -> (std::path::PathBuf, Vec<u8>) {
+        let path = tmp(name);
+        sample_model().save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        (path, bytes)
+    }
+
+    #[test]
+    fn load_survives_every_truncation() {
+        let (path, bytes) = sample_bytes("every_cut.wfm");
+        let mut loaded = 0;
+        for cut in 0..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            if let Ok(m) = SensorModel::load(&path) {
+                inverts_cleanly(&m);
+                loaded += 1;
+            }
+        }
+        // a cut inside the last curve's digits can still parse
+        assert!(loaded < bytes.len());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Random corruptions of a valid file: each position is either
+        /// XORed with a nonzero byte or overwritten with a character a
+        /// number could contain, so many corruptions still parse.
+        #[test]
+        fn load_survives_random_corruption(
+            edits in proptest::prelude::prop::collection::vec(
+                (0usize..1 << 20, 1u8..255, 0u8..2),
+                1..8,
+            ),
+        ) {
+            const NUMERIC: &[u8] = b"0123456789.-+eE |\nNaNinf";
+            let (path, mut bytes) = sample_bytes("corrupt.wfm");
+            let len = bytes.len();
+            for (at, byte, mode) in edits {
+                let b = &mut bytes[at % len];
+                *b = if mode == 0 {
+                    *b ^ byte
+                } else {
+                    NUMERIC[byte as usize % NUMERIC.len()]
+                };
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            if let Ok(m) = SensorModel::load(&path) {
+                let (lo, hi) = m.force_range_n();
+                proptest::prop_assert!(lo < hi);
+                inverts_cleanly(&m);
+            }
+        }
     }
 }

@@ -26,6 +26,7 @@ use std::sync::{Arc, OnceLock};
 use wiforce_channel::cache::{ChannelCache, SharedChannelCache};
 use wiforce_channel::faults::{FaultConfig, FaultInjector};
 use wiforce_channel::{Frontend, Scene, StaticMultipath};
+use wiforce_dsp::kernels;
 use wiforce_dsp::rng::{standard_normal, CounterRng};
 use wiforce_dsp::{Complex, SnapshotMatrix, SnapshotView};
 use wiforce_mech::contact::ContactSolver;
@@ -536,6 +537,18 @@ impl Simulation {
             .collect()
     }
 
+    /// The press-invariant channel state at `freqs`: the shared cache
+    /// entry when `use_channel_cache` is set, a fresh build otherwise
+    /// (bit-identical either way).
+    fn channel(&self, freqs: &[f64]) -> Arc<ChannelCache> {
+        let _s = wiforce_telemetry::span!("pipeline.channel_setup");
+        if self.use_channel_cache {
+            self.channel_cache.get_or_build(&self.scene, freqs)
+        } else {
+            Arc::new(ChannelCache::build(&self.scene, freqs))
+        }
+    }
+
     /// Builds the four per-tag-state prepared channels for a static scene.
     ///
     /// For sounders whose preparation is a pure function of hashable
@@ -650,14 +663,7 @@ impl Simulation {
             let _s = wiforce_telemetry::span!("pipeline.em_transduction");
             self.tag_response_table(&freqs, contact)
         };
-        let cache: Arc<ChannelCache> = {
-            let _s = wiforce_telemetry::span!("pipeline.channel_setup");
-            if self.use_channel_cache {
-                self.channel_cache.get_or_build(&self.scene, &freqs)
-            } else {
-                Arc::new(ChannelCache::build(&self.scene, &freqs))
-            }
-        };
+        let cache = self.channel(&freqs);
         let statics = &cache.statics;
         let gains = &cache.gains;
         let direct_amp = cache.direct_amp;
@@ -828,6 +834,7 @@ impl Simulation {
         let freqs = self.subcarrier_freqs_hz();
         self.synth_counter(
             &freqs,
+            &self.channel(&freqs),
             contact,
             n_groups,
             clock_state,
@@ -859,6 +866,7 @@ impl Simulation {
         let mut scratch = SnapshotMatrix::default();
         self.synth_counter(
             &freqs,
+            &self.channel(&freqs),
             contact,
             n_groups,
             clock_state,
@@ -899,6 +907,7 @@ impl Simulation {
     fn synth_counter(
         &self,
         freqs: &[f64],
+        cache: &ChannelCache,
         contact: Option<&ContactState>,
         n_groups: usize,
         clock_state: &mut TagClock,
@@ -914,14 +923,6 @@ impl Simulation {
             let _s = wiforce_telemetry::span!("pipeline.em_transduction");
             self.tag_response_table(freqs, contact)
         };
-        let cache: Arc<ChannelCache> = {
-            let _s = wiforce_telemetry::span!("pipeline.channel_setup");
-            if self.use_channel_cache {
-                self.channel_cache.get_or_build(&self.scene, freqs)
-            } else {
-                Arc::new(ChannelCache::build(&self.scene, freqs))
-            }
-        };
         let statics = &cache.statics;
         let gains = &cache.gains;
         let direct_amp = cache.direct_amp;
@@ -933,7 +934,7 @@ impl Simulation {
         let key = noise.key;
 
         let prepared: Option<Arc<Vec<PreparedChannel>>> =
-            (!has_movers).then(|| self.prepare_states(&cache, &table, contact.is_none()));
+            (!has_movers).then(|| self.prepare_states(cache, &table, contact.is_none()));
 
         // group plans: the clock walk is inherently sequential, so it runs
         // here (cheap — one wander draw per group) and hands each group a
@@ -1291,8 +1292,12 @@ impl Simulation {
     /// is enabled and [`Self::spectral_refusal`] finds no objection, and
     /// from the counter row path ([`Self::synth_counter`], groups
     /// synthesized in parallel and streamed straight into extraction)
-    /// otherwise. The only draws taken from `rng` are the clock phase and
-    /// the press key, so a press costs two sequential draws total.
+    /// otherwise. The press counts the arm that ran it
+    /// (`pipeline.arm.spectral` or `pipeline.arm.time_domain`) and, when
+    /// spectral synthesis was enabled but refused,
+    /// `pipeline.spectral_refused.<reason>`. The only draws taken from
+    /// `rng` are the clock phase and the press key, so a press costs two
+    /// sequential draws total.
     pub fn measure_phases<R: Rng>(
         &self,
         contact: Option<&ContactState>,
@@ -1301,23 +1306,48 @@ impl Simulation {
         let _span = wiforce_telemetry::span!("pipeline.measure_phases");
         let mut clock = TagClock::new(rng);
         let mut noise = PressNoise::from_rng(rng);
-        let spectral =
-            self.synth_spectral_enabled() && self.spectral_refusal(&self.faults).is_none();
-        // the subcarrier grid is press-invariant: compute it once and
-        // share it with both synthesis calls (and everything downstream)
+        let spectral = self.synth_spectral_enabled() && {
+            let refusal = self.spectral_refusal(&self.faults);
+            if let (Some(reason), true) = (refusal, wiforce_telemetry::enabled()) {
+                wiforce_telemetry::counter_owned(format!("pipeline.spectral_refused.{reason}"), 1);
+            }
+            refusal.is_none()
+        };
+        wiforce_telemetry::counter!(
+            if spectral {
+                "pipeline.arm.spectral"
+            } else {
+                "pipeline.arm.time_domain"
+            },
+            1
+        );
+        // the subcarrier grid and the channel entry are press-invariant:
+        // look them up once and share them with both synthesis calls
         let freqs = self.subcarrier_freqs_hz();
+        let cache = self.channel(&freqs);
         let group_s = self.group.n_snapshots as f64 * self.group.snapshot_period_s;
         let mut scratch = SnapshotMatrix::default();
+        let mut line_scratch = SpectralScratch::default();
         let mut synth = |contact: Option<&ContactState>,
                          n_groups: usize,
                          clock: &mut TagClock,
                          spec: &FusedExtraction<'_>| {
             if spectral {
-                self.synth_lines_spectral(&freqs, contact, n_groups, clock, &mut noise, spec)
+                self.synth_lines_spectral(
+                    &freqs,
+                    &cache,
+                    contact,
+                    n_groups,
+                    clock,
+                    &mut noise,
+                    spec,
+                    &mut line_scratch,
+                )
             } else {
                 scratch.clear();
                 self.synth_counter(
                     &freqs,
+                    &cache,
                     contact,
                     n_groups,
                     clock,
@@ -1433,28 +1463,19 @@ impl Simulation {
     /// The result is distribution-equivalent — not bit-identical — to
     /// time-domain synthesis + extraction, and is gated by statistical
     /// and end-to-end accuracy fixtures.
+    #[allow(clippy::too_many_arguments)]
     fn synth_lines_spectral(
         &self,
         freqs: &[f64],
+        cache: &ChannelCache,
         contact: Option<&ContactState>,
         n_groups: usize,
         clock_state: &mut TagClock,
         noise: &mut PressNoise,
         spec: &FusedExtraction<'_>,
+        scratch: &mut SpectralScratch,
     ) -> (Vec<GroupLines>, Option<GroupLines>) {
         let _span = wiforce_telemetry::span!("pipeline.spectral_lines");
-        let table = {
-            let _s = wiforce_telemetry::span!("pipeline.em_transduction");
-            self.tag_response_table(freqs, contact)
-        };
-        let cache: Arc<ChannelCache> = {
-            let _s = wiforce_telemetry::span!("pipeline.channel_setup");
-            if self.use_channel_cache {
-                self.channel_cache.get_or_build(&self.scene, freqs)
-            } else {
-                Arc::new(ChannelCache::build(&self.scene, freqs))
-            }
-        };
         let k_sub = cache.statics.len();
         let n = self.group.n_snapshots;
         let t_snap = self.group.snapshot_period_s;
@@ -1472,17 +1493,22 @@ impl Simulation {
         let var_row = sigma_est * sigma_est + step * step / 12.0;
 
         // press-invariant per-state backscatter spectra, memoized beside
-        // the prepared-channel tables (salted key, distinct value type)
+        // the prepared-channel tables (salted key, distinct value type).
+        // The key is what the tag table depends on, so a hit never
+        // evaluates the table itself.
         let spectra = {
             let cfg_token = self
                 .sounder
                 .response_token()
                 .expect("spectral path gated on a hashable sounder config");
-            let token = wiforce_channel::cache::plane_token(table.iter().flatten());
             cache.response_tables(
-                token,
+                self.tag_table_token(contact),
                 wiforce_channel::cache::config_token([SPECTRAL_TABLE_SALT, cfg_token]),
                 || {
+                    let table = {
+                        let _s = wiforce_telemetry::span!("pipeline.em_transduction");
+                        self.tag_response_table(freqs, contact)
+                    };
                     let mut rows = vec![Complex::ZERO; 4 * k_sub];
                     for state in 0..4 {
                         for k in 0..k_sub {
@@ -1497,7 +1523,6 @@ impl Simulation {
         let group_s = n as f64 * t_snap;
         let mut groups = Vec::with_capacity(n_groups);
         let mut floor_out: Option<GroupLines> = None;
-        let mut normals = Vec::new();
         for g in 0..n_groups {
             let group_id = noise.next_group;
             noise.next_group = noise.next_group.wrapping_add(1);
@@ -1554,6 +1579,9 @@ impl Simulation {
                 counts[2] as f64 * inv_n,
                 counts[3] as f64 * inv_n,
             ];
+            // j·meanP[k], the group's jitter coupling, shared by its lines
+            scratch.i_mean.resize(k_sub, Complex::ZERO);
+            kernels::spectral_mean(&mut scratch.i_mean, &cache.statics, &spectra.rows, cbar);
 
             let start_s = spec.first_start + g as f64 * group_s;
             let mut line_out = |fi: usize| -> Vec<Complex> {
@@ -1575,24 +1603,25 @@ impl Simulation {
                     group_id,
                     wiforce_dsp::rng::spectral_bin_id(f_hz),
                 );
+                let normals = &mut scratch.normals;
                 normals.clear();
                 normals.resize(2 * k_sub + 2, 0.0);
-                cursor.fill_normals(&mut normals);
+                cursor.fill_normals(normals);
                 let jc = Complex::new(normals[2 * k_sub], normals[2 * k_sub + 1]).scale(sigma_jit);
-                (0..k_sub)
-                    .map(|k| {
-                        let b = |state: usize| spectra.rows[state * k_sub + k];
-                        let det = b(0) * w[0] + b(1) * w[1] + b(2) * w[2] + b(3) * w[3];
-                        let noise_k =
-                            Complex::new(normals[2 * k], normals[2 * k + 1]).scale(sigma_line);
-                        let mean_p = cache.statics[k]
-                            + b(0).scale(cbar[0])
-                            + b(1).scale(cbar[1])
-                            + b(2).scale(cbar[2])
-                            + b(3).scale(cbar[3]);
-                        reference * (det + noise_k + Complex::I * mean_p * jc)
-                    })
-                    .collect()
+                let mut line = vec![Complex::ZERO; k_sub];
+                kernels::spectral_line(
+                    &mut line,
+                    &spectra.rows,
+                    &scratch.i_mean,
+                    normals,
+                    kernels::LineTerms {
+                        w,
+                        sigma: sigma_line,
+                        jc,
+                        reference,
+                    },
+                );
+                line
             };
             let lines = GroupLines {
                 p1: line_out(0),
@@ -1609,6 +1638,79 @@ impl Simulation {
             groups.push(lines);
         }
         (groups, floor_out)
+    }
+
+    /// Memo identity of [`Self::tag_response_table`]`(freqs, contact)` on
+    /// one channel-cache entry, whose fingerprint already fixes `freqs`:
+    /// the contact's two port lengths and every electrical field of the
+    /// tag (line, substrate, switches, splitter). The clocks are left out
+    /// because the table does not read them. The tag is destructured
+    /// exhaustively, so a new field fails to compile until it is keyed.
+    fn tag_table_token(&self, contact: Option<&ContactState>) -> u64 {
+        use wiforce_em::{Dielectric, Microstrip, SensorLine};
+        use wiforce_sensor::{RfSwitch, Splitter};
+        let SensorTag {
+            line,
+            switch1,
+            switch2,
+            splitter,
+            clocks: _,
+        } = self.tag;
+        let SensorLine {
+            microstrip,
+            length_m,
+            contact_resistance_ohm,
+        } = line;
+        let Microstrip {
+            trace_width_m,
+            height_m,
+            substrate,
+            conductivity_s_per_m,
+        } = microstrip;
+        let Dielectric {
+            rel_permittivity,
+            loss_tangent,
+            conductivity_s_per_m: substrate_sigma,
+        } = substrate;
+        let Splitter {
+            excess_loss_db,
+            isolation_db,
+        } = splitter;
+        let switch_words = |s: RfSwitch| {
+            let RfSwitch {
+                kind,
+                insertion_loss_db,
+                isolation_db,
+                off_branch_mag,
+            } = s;
+            [
+                kind as u64,
+                insertion_loss_db.to_bits(),
+                isolation_db.to_bits(),
+                off_branch_mag.to_bits(),
+            ]
+        };
+        let [c1, c2] = contact_words(contact);
+        let line_words = [
+            length_m,
+            contact_resistance_ohm,
+            trace_width_m,
+            height_m,
+            conductivity_s_per_m,
+            rel_permittivity,
+            loss_tangent,
+            substrate_sigma,
+            excess_loss_db,
+            isolation_db,
+        ]
+        .map(f64::to_bits);
+        wiforce_channel::cache::config_token(
+            [c1, c2]
+                .into_iter()
+                .chain(line_words)
+                .chain(switch_words(switch1))
+                .chain(switch_words(switch2)),
+        )
     }
 
     /// Like [`Self::contact_for`] but with the per-press mechanical
@@ -1824,6 +1926,26 @@ pub(crate) const SYNTH_CHUNK_ROWS: usize = 64;
 /// from the other `response_tables` entries built on the same plane token
 /// (`b"spectbl1"` as a u64).
 const SPECTRAL_TABLE_SALT: u64 = 0x7370_6563_7462_6c31;
+
+/// The words identifying a contact in a response-memo key: its two port
+/// lengths' bits, or the all-ones NaN pattern for no touch. Port lengths
+/// are finite (clamped to `[0, beam length]`), so the sentinel never
+/// collides with a real contact.
+pub(crate) fn contact_words(contact: Option<&ContactState>) -> [u64; 2] {
+    contact.map_or([u64::MAX, u64::MAX], |c| {
+        [c.port1_short_m.to_bits(), c.port2_short_m.to_bits()]
+    })
+}
+
+/// Buffers the spectral arm reuses across the groups and both synthesis
+/// calls of one press.
+#[derive(Debug, Default)]
+struct SpectralScratch {
+    /// One line's Philox normals: two per subcarrier plus the jitter pair.
+    normals: Vec<f64>,
+    /// `j·meanP[k]` of the current group ([`kernels::spectral_mean`]).
+    i_mean: Vec<Complex>,
+}
 
 /// Memoized per-state backscatter line spectra for the spectral synthesis
 /// path: `rows[state * k_sub + k] = gains[k] * table[k][state]`, i.e. the
@@ -2323,6 +2445,7 @@ mod tests {
                     let mut out = SnapshotMatrix::default();
                     let (lines, _) = sim.synth_counter(
                         &freqs,
+                        &sim.channel(&freqs),
                         contact.as_ref(),
                         3,
                         &mut clock,
@@ -2762,8 +2885,16 @@ mod tests {
                 floor_cfg: None,
                 first_start: clock.reader_time_s(),
             };
-            let (mut groups, floor) =
-                sim.synth_lines_spectral(&freqs, None, 1, &mut clock, &mut noise, &spec);
+            let (mut groups, floor) = sim.synth_lines_spectral(
+                &freqs,
+                &sim.channel(&freqs),
+                None,
+                1,
+                &mut clock,
+                &mut noise,
+                &spec,
+                &mut SpectralScratch::default(),
+            );
             assert!(floor.is_none());
             groups.pop().expect("one group")
         };
@@ -2853,5 +2984,437 @@ mod tests {
         };
         let avg = average_lines(&[g1, g2]);
         assert!((avg.p1[0] - Complex::new(0.5, 0.5)).abs() < 1e-12);
+    }
+
+    /// The spectral arm as it stood before the contact-keyed memo, the
+    /// dispatched state classifier and the once-per-group mean spectrum:
+    /// the old `synth_lines_spectral` body with its own table, a fresh
+    /// channel build and the per-line `meanP[k]`, classifying instants one
+    /// at a time with [`ClockPair::state`](wiforce_sensor::ClockPair::state)
+    /// and building the per-state spectra without the memo. The spectral
+    /// bit pins compare the production arm against it.
+    fn reference_synth_lines_spectral(
+        sim: &Simulation,
+        freqs: &[f64],
+        contact: Option<&ContactState>,
+        n_groups: usize,
+        clock_state: &mut TagClock,
+        noise: &mut PressNoise,
+        spec: &FusedExtraction<'_>,
+    ) -> (Vec<GroupLines>, Option<GroupLines>) {
+        let table = sim.tag_response_table(freqs, contact);
+        let cache = ChannelCache::build(&sim.scene, freqs);
+        let k_sub = cache.statics.len();
+        let n = sim.group.n_snapshots;
+        let t_snap = sim.group.snapshot_period_s;
+        let key = noise.key;
+        let sigma_est = sim
+            .sounder
+            .estimate_noise_sigma(sim.frontend.noise_floor)
+            .expect("white estimate noise");
+        let step = if sim.frontend.adc_enob_bits > 0 && cache.full_scale > 0.0 {
+            2.0 * cache.full_scale / (1u64 << sim.frontend.adc_enob_bits.min(62)) as f64
+        } else {
+            0.0
+        };
+        let var_row = sigma_est * sigma_est + step * step / 12.0;
+        let mut rows = vec![Complex::ZERO; 4 * k_sub];
+        for state in 0..4 {
+            for k in 0..k_sub {
+                rows[state * k_sub + k] = cache.gains[k] * table[k][state];
+            }
+        }
+        let group_s = n as f64 * t_snap;
+        let mut groups = Vec::with_capacity(n_groups);
+        let mut floor_out: Option<GroupLines> = None;
+        let mut normals = Vec::new();
+        for g in 0..n_groups {
+            let group_id = noise.next_group;
+            noise.next_group = noise.next_group.wrapping_add(1);
+            let mut group_rng = CounterRng::for_group(key, group_id);
+            clock_state.step_group(sim.tag_clock_wander_ppm, &mut group_rng);
+            let dt_eff =
+                t_snap * (1.0 + (clock_state.wander_ppm + sim.faults.tag_clock_ppm) * 1e-6);
+            let t_tag0 = clock_state.t_tag;
+            clock_state.t_tag += n as f64 * dt_eff;
+            clock_state.t_reader += n as f64 * t_snap;
+            let with_floor = g == 0 && spec.floor_cfg.is_some();
+            let mut line_hz = [spec.cfg.line1_hz, spec.cfg.line2_hz, 0.0, 0.0];
+            let mut nf = 2;
+            if with_floor {
+                let fc = spec.floor_cfg.expect("checked");
+                line_hz[2] = fc.line1_hz;
+                line_hz[3] = fc.line2_hz;
+                nf = 4;
+            }
+            let mut e_acc = [[Complex::ZERO; 4]; 4];
+            let mut counts = [0u64; 4];
+            let mut ph = [Complex::ONE; 4];
+            let mut rot = [Complex::ONE; 4];
+            for (fi, r) in rot.iter_mut().enumerate().take(nf) {
+                *r = Complex::cis(-wiforce_dsp::TAU * line_hz[fi] * t_snap);
+            }
+            for s in 0..n {
+                let state = sim.tag.clocks.state(t_tag0 + s as f64 * dt_eff) as usize;
+                counts[state] += 1;
+                for fi in 0..nf {
+                    e_acc[fi][state] += ph[fi];
+                    ph[fi] *= rot[fi];
+                }
+            }
+            let inv_n = 1.0 / n as f64;
+            let cbar = counts.map(|c| c as f64 * inv_n);
+            let start_s = spec.first_start + g as f64 * group_s;
+            let mut line_out = |fi: usize| -> Vec<Complex> {
+                let f_hz = line_hz[fi];
+                let dbar = (e_acc[fi][0] + e_acc[fi][1] + e_acc[fi][2] + e_acc[fi][3]).scale(inv_n);
+                let w = [
+                    (e_acc[fi][0] - dbar.scale(counts[0] as f64)).scale(inv_n),
+                    (e_acc[fi][1] - dbar.scale(counts[1] as f64)).scale(inv_n),
+                    (e_acc[fi][2] - dbar.scale(counts[2] as f64)).scale(inv_n),
+                    (e_acc[fi][3] - dbar.scale(counts[3] as f64)).scale(inv_n),
+                ];
+                let shrink = (1.0 - dbar.norm_sqr()).max(0.0);
+                let sigma_line = (var_row * shrink * inv_n).sqrt();
+                let sigma_jit = sim.frontend.phase_jitter_rad * (shrink * inv_n * 0.5).sqrt();
+                let reference = Complex::cis(-wiforce_dsp::TAU * f_hz * start_s);
+                let mut cursor = CounterRng::for_spectral(
+                    key,
+                    group_id,
+                    wiforce_dsp::rng::spectral_bin_id(f_hz),
+                );
+                normals.clear();
+                normals.resize(2 * k_sub + 2, 0.0);
+                cursor.fill_normals(&mut normals);
+                let jc = Complex::new(normals[2 * k_sub], normals[2 * k_sub + 1]).scale(sigma_jit);
+                (0..k_sub)
+                    .map(|k| {
+                        let b = |state: usize| rows[state * k_sub + k];
+                        let det = b(0) * w[0] + b(1) * w[1] + b(2) * w[2] + b(3) * w[3];
+                        let noise_k =
+                            Complex::new(normals[2 * k], normals[2 * k + 1]).scale(sigma_line);
+                        let mean_p = cache.statics[k]
+                            + b(0).scale(cbar[0])
+                            + b(1).scale(cbar[1])
+                            + b(2).scale(cbar[2])
+                            + b(3).scale(cbar[3]);
+                        reference * (det + noise_k + Complex::I * mean_p * jc)
+                    })
+                    .collect()
+            };
+            let lines = GroupLines {
+                p1: line_out(0),
+                p2: line_out(1),
+            };
+            if with_floor {
+                floor_out = Some(GroupLines {
+                    p1: line_out(2),
+                    p2: line_out(3),
+                });
+            }
+            groups.push(lines);
+        }
+        (groups, floor_out)
+    }
+
+    /// The old `measure_phases` on the spectral arm, driving
+    /// [`reference_synth_lines_spectral`].
+    fn reference_measure_phases<R: Rng>(
+        sim: &Simulation,
+        contact: Option<&ContactState>,
+        rng: &mut R,
+    ) -> Result<DiffPhases, WiForceError> {
+        let mut clock = TagClock::new(rng);
+        let mut noise = PressNoise::from_rng(rng);
+        let freqs = sim.subcarrier_freqs_hz();
+        let group_s = sim.group.n_snapshots as f64 * sim.group.snapshot_period_s;
+        let off_cfg = PhaseGroupConfig {
+            line1_hz: sim.group.line1_hz * 1.37,
+            line2_hz: sim.group.line1_hz * 2.61,
+            ..sim.group
+        };
+        let ref_spec = FusedExtraction {
+            cfg: &sim.group,
+            floor_cfg: Some(&off_cfg),
+            first_start: clock.reader_time_s(),
+        };
+        let (mut refs, floor_lines) = reference_synth_lines_spectral(
+            sim,
+            &freqs,
+            None,
+            sim.reference_groups,
+            &mut clock,
+            &mut noise,
+            &ref_spec,
+        );
+        let floor = floor_lines.expect("floor probe").mean_power();
+        let df_hz = if sim.track_tag_clock && refs.len() >= 2 {
+            estimate_line_offset_hz(&refs, group_s)
+        } else {
+            0.0
+        };
+        if df_hz != 0.0 {
+            for (g, lines) in refs.iter_mut().enumerate() {
+                derotate(lines, df_hz, g as f64 * group_s);
+            }
+        }
+        let reference = average_lines(&refs);
+        let line_db = 10.0 * (reference.mean_power() / floor.max(1e-300)).log10();
+        if line_db < 6.0 {
+            return Err(WiForceError::TagNotDetected {
+                line_to_floor_db: line_db,
+            });
+        }
+        let meas_spec = FusedExtraction {
+            cfg: &sim.group,
+            floor_cfg: None,
+            first_start: clock.reader_time_s(),
+        };
+        let (mut meass, _) = reference_synth_lines_spectral(
+            sim,
+            &freqs,
+            contact,
+            sim.measure_groups,
+            &mut clock,
+            &mut noise,
+            &meas_spec,
+        );
+        if df_hz != 0.0 {
+            for (g, lines) in meass.iter_mut().enumerate() {
+                let t = (sim.reference_groups + g) as f64 * group_s;
+                derotate(lines, df_hz, t);
+            }
+        }
+        let mut acc1 = Complex::ZERO;
+        let mut acc2 = Complex::ZERO;
+        let mut power = 0.0;
+        for m in &meass {
+            let d = differential(&reference, m, sim.averaging);
+            acc1 += Complex::cis(d.dphi1_rad);
+            acc2 += Complex::cis(d.dphi2_rad);
+            power += d.line_power;
+        }
+        Ok(DiffPhases {
+            dphi1_rad: acc1.arg(),
+            dphi2_rad: acc2.arg(),
+            line_power: power / meass.len() as f64,
+        })
+    }
+
+    fn phase_bits(r: &Result<DiffPhases, WiForceError>) -> Result<[u64; 3], String> {
+        r.as_ref()
+            .map(|p| {
+                [
+                    p.dphi1_rad.to_bits(),
+                    p.dphi2_rad.to_bits(),
+                    p.line_power.to_bits(),
+                ]
+            })
+            .map_err(|e| format!("{e:?}"))
+    }
+
+    fn assert_lines_bits(a: &GroupLines, b: &GroupLines, what: &str) {
+        let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        assert_eq!(bits(&a.p1), bits(&b.p1), "{what} p1");
+        assert_eq!(bits(&a.p2), bits(&b.p2), "{what} p2");
+    }
+
+    /// Spectral configurations the pins walk: both carriers, tag-clock
+    /// drift with and without tracking, longer presses, the naive clocks
+    /// (both-on states) and absorptive switches.
+    fn spectral_pin_sims() -> Vec<(&'static str, Simulation)> {
+        let base = |carrier: f64| {
+            let mut sim = Simulation::paper_default(carrier);
+            sim.synth_spectral = Some(true);
+            sim
+        };
+        let mut drift = base(2.4e9);
+        drift.faults.tag_clock_ppm = 35.0;
+        let mut tracked = base(2.4e9);
+        tracked.faults.tag_clock_ppm = -120.0;
+        tracked.track_tag_clock = true;
+        tracked.reference_groups = 3;
+        tracked.measure_groups = 3;
+        let mut naive = base(0.9e9);
+        naive.tag = naive.tag.with_naive_clocks();
+        let mut absorptive = base(2.4e9);
+        absorptive.tag = absorptive.tag.with_absorptive_switches();
+        let mut uncached = base(2.4e9);
+        uncached.use_channel_cache = false;
+        let sims = vec![
+            ("2.4GHz", base(2.4e9)),
+            ("0.9GHz", base(0.9e9)),
+            ("drift", drift),
+            ("drift+tracking", tracked),
+            ("naive", naive),
+            ("absorptive", absorptive),
+            ("uncached", uncached),
+        ];
+        for (name, sim) in &sims {
+            assert_eq!(sim.spectral_refusal(&sim.faults), None, "{name}");
+        }
+        sims
+    }
+
+    /// Every synthesis call of a press (reference groups with the floor
+    /// probe, then touched or untouched measurement groups) is bit-equal
+    /// to the reference copy, twice over on one shared cache so the
+    /// second pass runs on memo hits.
+    #[test]
+    fn spectral_lines_are_bit_identical_to_the_reference_copy() {
+        for (name, sim) in spectral_pin_sims() {
+            let freqs = sim.subcarrier_freqs_hz();
+            let off_cfg = PhaseGroupConfig {
+                line1_hz: sim.group.line1_hz * 1.37,
+                line2_hz: sim.group.line1_hz * 2.61,
+                ..sim.group
+            };
+            let contacts = [
+                None,
+                sim.contact_for(3.0, 0.031),
+                sim.contact_for(6.5, 0.052),
+            ];
+            for pass in 0..2 {
+                for (ci, contact) in contacts.iter().enumerate() {
+                    let seed = 0x5EC0 + ci as u64;
+                    for floor in [Some(&off_cfg), None] {
+                        let clock = || TagClock::new(&mut StdRng::seed_from_u64(seed));
+                        let (mut c1, mut c2) = (clock(), clock());
+                        let (mut n1, mut n2) =
+                            (PressNoise::from_seed(seed), PressNoise::from_seed(seed));
+                        let spec = FusedExtraction {
+                            cfg: &sim.group,
+                            floor_cfg: floor,
+                            first_start: c1.reader_time_s(),
+                        };
+                        let (got, got_floor) = sim.synth_lines_spectral(
+                            &freqs,
+                            &sim.channel(&freqs),
+                            contact.as_ref(),
+                            2,
+                            &mut c1,
+                            &mut n1,
+                            &spec,
+                            &mut SpectralScratch::default(),
+                        );
+                        let (want, want_floor) = reference_synth_lines_spectral(
+                            &sim,
+                            &freqs,
+                            contact.as_ref(),
+                            2,
+                            &mut c2,
+                            &mut n2,
+                            &spec,
+                        );
+                        let what =
+                            format!("{name} pass {pass} contact {ci} floor {}", floor.is_some());
+                        assert_eq!(got.len(), want.len(), "{what}");
+                        for (g, (a, b)) in got.iter().zip(&want).enumerate() {
+                            assert_lines_bits(a, b, &format!("{what} group {g}"));
+                        }
+                        assert_eq!(got_floor.is_some(), floor.is_some(), "{what}");
+                        if let (Some(a), Some(b)) = (&got_floor, &want_floor) {
+                            assert_lines_bits(a, b, &format!("{what} floor"));
+                        }
+                        assert_eq!(
+                            (c1.t_tag.to_bits(), c1.t_reader.to_bits(), n1.next_group),
+                            (c2.t_tag.to_bits(), c2.t_reader.to_bits(), n2.next_group),
+                            "{what} clock and noise state"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whole presses: jittered contacts (touched and below threshold),
+    /// with drift, tracking, and the shared cache warm and cold.
+    #[test]
+    fn spectral_measure_phases_is_bit_identical_to_the_reference_copy() {
+        for (name, sim) in spectral_pin_sims() {
+            for i in 0..6u64 {
+                let force = [0.0, 1.2, 2.5, 4.0, 6.0, 7.8][i as usize];
+                let loc = 0.021 + 0.0071 * i as f64;
+                let mut rng = StdRng::seed_from_u64(0xB17 + i);
+                let contact = sim.jittered_contact(force, loc, &mut rng);
+                let mut r1 = rng.clone();
+                let got = sim.measure_phases(contact.as_ref(), &mut rng);
+                let want = reference_measure_phases(&sim, contact.as_ref(), &mut r1);
+                assert_eq!(phase_bits(&got), phase_bits(&want), "{name} press {i}");
+                assert!(got.is_ok(), "{name} press {i}: {got:?}");
+            }
+        }
+    }
+
+    /// The spectra memo is keyed by the tag's electrical fields: editing
+    /// any of them on a shared, warm cache must give the same readings as
+    /// a run that never touches the cache.
+    #[test]
+    fn spectral_memo_never_serves_a_stale_table_after_a_tag_edit() {
+        use wiforce_sensor::switch::SwitchKind;
+        type Edit = fn(&mut SensorTag);
+        let edits: [(&str, Edit); 18] = [
+            ("line.length_m", |t| t.line.length_m *= 1.05),
+            ("line.contact_resistance_ohm", |t| {
+                t.line.contact_resistance_ohm *= 4.0
+            }),
+            ("microstrip.trace_width_m", |t| {
+                t.line.microstrip.trace_width_m *= 1.1
+            }),
+            ("microstrip.height_m", |t| t.line.microstrip.height_m *= 1.1),
+            ("microstrip.conductivity", |t| {
+                t.line.microstrip.conductivity_s_per_m *= 0.01
+            }),
+            ("substrate.rel_permittivity", |t| {
+                t.line.microstrip.substrate.rel_permittivity = 1.2
+            }),
+            ("substrate.loss_tangent", |t| {
+                t.line.microstrip.substrate.loss_tangent = 0.02
+            }),
+            ("substrate.conductivity", |t| {
+                t.line.microstrip.substrate.conductivity_s_per_m = 0.05
+            }),
+            ("switch1.kind", |t| t.switch1.kind = SwitchKind::Absorptive),
+            ("switch1.insertion_loss_db", |t| {
+                t.switch1.insertion_loss_db = 1.5
+            }),
+            ("switch1.isolation_db", |t| t.switch1.isolation_db = 12.0),
+            ("switch1.off_branch_mag", |t| t.switch1.off_branch_mag = 0.2),
+            ("switch2.kind", |t| t.switch2.kind = SwitchKind::Absorptive),
+            ("switch2.insertion_loss_db", |t| {
+                t.switch2.insertion_loss_db = 1.5
+            }),
+            ("switch2.isolation_db", |t| t.switch2.isolation_db = 12.0),
+            ("switch2.off_branch_mag", |t| t.switch2.off_branch_mag = 0.2),
+            ("splitter.excess_loss_db", |t| {
+                t.splitter.excess_loss_db = 1.5
+            }),
+            ("splitter.isolation_db", |t| t.splitter.isolation_db = 8.0),
+        ];
+        let mut base = Simulation::paper_default(2.4e9);
+        base.synth_spectral = Some(true);
+        base.reference_groups = 1;
+        base.measure_groups = 1;
+        let contact = base.contact_for(4.0, 0.037);
+        let press = |sim: &Simulation| {
+            phase_bits(&sim.measure_phases(contact.as_ref(), &mut StdRng::seed_from_u64(99)))
+        };
+        let before = press(&base);
+        let mut moved = 0;
+        for (field, edit) in edits {
+            // warm the shared memo with the unedited tag's tables
+            assert_eq!(press(&base), before);
+            let mut edited = base.clone();
+            edit(&mut edited.tag);
+            let mut uncached = edited.clone();
+            uncached.use_channel_cache = false;
+            let want = press(&uncached);
+            assert_eq!(press(&edited), want, "{field}: stale memo entry");
+            moved += usize::from(want != before);
+        }
+        // the test bites only where an edit moves the reading
+        assert!(moved >= 14, "only {moved} of 18 edits moved the reading");
     }
 }

@@ -300,4 +300,77 @@ mod tests {
         assert_eq!(live, replayed, "replay must be bit-exact");
         assert!(replayed.touched);
     }
+
+    /// What a loaded recording must survive: a replay through a
+    /// two-snapshot-group estimator (extraction and model inversion on
+    /// every group) and, from two snapshots up, a Doppler spectrum,
+    /// without panicking.
+    fn replays_cleanly(rec: &Recording) {
+        use crate::estimator::{EstimatorConfig, ForceEstimator};
+        use crate::harmonics::PhaseGroupConfig;
+        static MODEL: std::sync::OnceLock<crate::SensorModel> = std::sync::OnceLock::new();
+        let model = MODEL.get_or_init(|| {
+            crate::Simulation::paper_default(2.4e9)
+                .vna_calibration()
+                .unwrap()
+        });
+        let cfg = EstimatorConfig {
+            group: PhaseGroupConfig {
+                n_snapshots: 2,
+                snapshot_period_s: rec.snapshot_period_s,
+                ..PhaseGroupConfig::wiforce(1000.0)
+            },
+            reference_groups: 1,
+            ..EstimatorConfig::wiforce(1000.0)
+        };
+        let mut est = ForceEstimator::new(cfg, model.clone());
+        for row in rec.snapshots.rows() {
+            let _ = est.push_snapshot(row);
+        }
+        if rec.len() >= 2 {
+            crate::spectrum::DopplerSpectrum::compute(rec.snapshots.view(), rec.snapshot_period_s);
+        }
+    }
+
+    #[test]
+    fn load_survives_every_truncation() {
+        let path = tmp("every_cut.wifs");
+        sample().save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        for cut in 0..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            // the header says how many samples follow, so every cut
+            // short of the whole file is refused
+            assert!(Recording::load(&path).is_err(), "cut at {cut}");
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        replays_cleanly(&Recording::load(&path).unwrap());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Random byte flips anywhere in a valid file (header included):
+        /// each load returns an error or a recording that replays.
+        #[test]
+        fn load_survives_random_byte_flips(
+            flips in proptest::prelude::prop::collection::vec((0usize..1 << 20, 1u8..255), 1..6),
+        ) {
+            let path = tmp("flipped.wifs");
+            sample().save(&path).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            let len = bytes.len();
+            for (at, mask) in flips {
+                bytes[at % len] ^= mask;
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            if let Ok(rec) = Recording::load(&path) {
+                proptest::prop_assert!(rec.snapshots.as_slice().iter().all(|z| z.re.is_finite() && z.im.is_finite()));
+                replays_cleanly(&rec);
+            }
+        }
+    }
 }

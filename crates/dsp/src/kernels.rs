@@ -67,6 +67,9 @@ pub const KERNEL_NAMES: &[&str] = &[
     "stencil_rows",
     "phase_cost_rows",
     "first_min",
+    "tag_states",
+    "spectral_mean",
+    "spectral_line",
 ];
 
 fn detect(force_scalar: bool) -> Backend {
@@ -765,6 +768,208 @@ simd_kernel! {
     /// of the smallest value.
     pub fn first_min(cost: &[f64], below: f64) -> Option<usize>
         = first_min_body / first_min_avx2 / first_min_avx512 / first_min_neon
+}
+
+// ---------------------------------------------------------------------
+// Tag-state classification
+// ---------------------------------------------------------------------
+
+/// Largest `(t − offset)/period` for which [`duty_level_estimate`] trusts
+/// its reciprocal-multiply phase (error ≤ ≈2.2e-10 of a period).
+const FAST_PHASE_MAX: f64 = 1e6;
+
+/// Adding and subtracting 2⁵² rounds a non-negative double below 2⁵¹ to
+/// the nearest integer.
+const ROUND_MAGIC: f64 = 4_503_599_627_370_496.0;
+
+/// How close (fraction of a period) an estimated phase may come to a clock
+/// edge before [`duty_level_estimate`] leaves the decision to the exact
+/// `rem_euclid` form: 1e-9, four times the estimate's worst-case error.
+const EDGE_MARGIN: f64 = 1e-9;
+
+/// One duty-cycled square wave as the tag-state classifier reads it: high
+/// while `((t − offset_s) mod period) / period < duty`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DutyWave {
+    /// Time of a rising edge, s.
+    pub offset_s: f64,
+    /// `1 / period`, 1/s.
+    pub inv_period: f64,
+    /// High fraction of each period.
+    pub duty: f64,
+}
+
+/// The level of `wave` at `t` from a reciprocal-multiply phase estimate,
+/// and whether that estimate decides it exactly.
+///
+/// The exact level is `fl(r/period) < duty` with `r = x mod period`
+/// (`x = t − offset`): `fmod` is exact, so `r/period` is the true phase
+/// `φ` rounded once. The estimate is the fractional part of
+/// `u = x·(1/period)`, off by at most `2·2⁻⁵³·u` — ≈2.2e-10 of a period
+/// below 10⁶ periods — plus one rounding. It is trusted only when it sits
+/// more than 1e-9 of a period from every edge (`0`, `duty`, `1`); then `φ`
+/// and its rounding lie on the same side of `duty`, so the decision is the
+/// exact one. Instants near an edge, negative `x`, large `x` and
+/// non-finite input are not trusted. Branch-free (`&`, not `&&`, and
+/// packed-double arithmetic only), so a walk over many instants
+/// vectorizes.
+#[inline(always)]
+pub fn duty_level_estimate(t: f64, wave: DutyWave) -> (bool, bool) {
+    let x = t - wave.offset_s;
+    let u = x * wave.inv_period;
+    // fractional part via round-to-nearest by 2⁵² (exact for
+    // 0 ≤ u < 2⁵¹); a negative remainder wraps up by one
+    let rem = u - ((u + ROUND_MAGIC) - ROUND_MAGIC);
+    let frac = if rem < 0.0 { rem + 1.0 } else { rem };
+    let trusted = (wave.inv_period > 0.0)
+        & (0.0..FAST_PHASE_MAX).contains(&u)
+        & ((frac - 0.5).abs() < 0.5 - EDGE_MARGIN)
+        & ((frac - wave.duty).abs() > EDGE_MARGIN);
+    (frac < wave.duty, trusted)
+}
+
+#[inline(always)]
+fn tag_states_body(
+    out: &mut [u8],
+    t0: f64,
+    dt: f64,
+    s0: usize,
+    waves: [DutyWave; 2],
+    invert2: bool,
+) -> bool {
+    // eight instants at a time with the index as `s0 + lane`: both are
+    // exact integers in f64, so below 2⁵³ their sum is `(s0 + i) as f64`
+    // exactly, and no lane pays an integer-to-float conversion
+    const LANES: usize = 8;
+    const LANE: [f64; LANES] = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
+    let classify = |t: f64| {
+        let (on1, ok1) = duty_level_estimate(t, waves[0]);
+        let (high2, ok2) = duty_level_estimate(t, waves[1]);
+        (on1 as u8 | ((high2 != invert2) as u8) << 1, ok1 & ok2)
+    };
+    let exact_lanes = s0.checked_add(out.len()).is_some_and(|end| end <= 1 << 53);
+    let split = if exact_lanes {
+        out.len() - out.len() % LANES
+    } else {
+        0
+    };
+    let (body, tail) = out.split_at_mut(split);
+    // per-lane verdicts, reduced once at the end
+    let mut lanes_ok = [true; LANES];
+    for (c, chunk) in body.chunks_exact_mut(LANES).enumerate() {
+        let base = (s0 + c * LANES) as f64;
+        for ((st, &lane), lane_ok) in chunk.iter_mut().zip(&LANE).zip(&mut lanes_ok) {
+            let (s, ok) = classify(t0 + (base + lane) * dt);
+            *st = s;
+            *lane_ok &= ok;
+        }
+    }
+    let mut trusted = lanes_ok.iter().all(|&ok| ok);
+    for (i, st) in tail.iter_mut().enumerate() {
+        let (s, ok) = classify(t0 + (s0 + split + i) as f64 * dt);
+        *st = s;
+        trusted &= ok;
+    }
+    trusted
+}
+
+simd_kernel! {
+    /// Classifies the instants `t0 + s·dt` (the instant computed exactly
+    /// as `t0 + s as f64 * dt`), `s` in `s0..s0 + out.len()`, into the
+    /// two-switch drive state `on1 | on2 << 1`, where `on1` is `waves[0]`
+    /// high and `on2` is `waves[1]` high, inverted when `invert2`.
+    /// Returns whether every instant was decided exactly by
+    /// [`duty_level_estimate`]; on `false` some entries may differ from
+    /// the exact `rem_euclid` decision, and the caller re-walks the range
+    /// with it.
+    pub fn tag_states(out: &mut [u8], t0: f64, dt: f64, s0: usize, waves: [DutyWave; 2], invert2: bool) -> bool
+        = tag_states_body / tag_states_avx2 / tag_states_avx512 / tag_states_neon
+}
+
+// ---------------------------------------------------------------------
+// Spectral line assembly
+// ---------------------------------------------------------------------
+
+/// Splits four state-major spectra of `k_sub` entries each.
+#[inline(always)]
+fn state_rows(rows: &[Complex], k_sub: usize) -> [&[Complex]; 4] {
+    let (r0, rest) = rows.split_at(k_sub);
+    let (r1, rest) = rest.split_at(k_sub);
+    let (r2, rest) = rest.split_at(k_sub);
+    [r0, r1, r2, &rest[..k_sub]]
+}
+
+#[inline(always)]
+fn spectral_mean_body(out: &mut [Complex], statics: &[Complex], rows: &[Complex], cbar: [f64; 4]) {
+    let [r0, r1, r2, r3] = state_rows(rows, out.len());
+    for (((((o, &s), &b0), &b1), &b2), &b3) in
+        out.iter_mut().zip(statics).zip(r0).zip(r1).zip(r2).zip(r3)
+    {
+        let mean_p =
+            s + b0.scale(cbar[0]) + b1.scale(cbar[1]) + b2.scale(cbar[2]) + b3.scale(cbar[3]);
+        *o = Complex::I * mean_p;
+    }
+}
+
+simd_kernel! {
+    /// The jitter coupling of one spectral phase group, per subcarrier:
+    /// `out[k] = j · (statics[k] + Σ_σ rows[σ·K + k] · cbar[σ])`, summed
+    /// left to right in state order, with `K = out.len()` and `rows`
+    /// holding the four per-state spectra state-major (at least `4·K`
+    /// entries). With `cbar` the group's state occupancy, the sum is the
+    /// group's mean received spectrum.
+    pub fn spectral_mean(out: &mut [Complex], statics: &[Complex], rows: &[Complex], cbar: [f64; 4])
+        = spectral_mean_body / spectral_mean_avx2 / spectral_mean_avx512 / spectral_mean_neon
+}
+
+/// The per-line scalars of [`spectral_line`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LineTerms {
+    /// Per-state deterministic weights `W_σ`.
+    pub w: [Complex; 4],
+    /// Per-component standard deviation of the white line noise.
+    pub sigma: f64,
+    /// The line's common phase-jitter draw.
+    pub jc: Complex,
+    /// The line's reference phasor.
+    pub reference: Complex,
+}
+
+#[inline(always)]
+fn spectral_line_body(
+    out: &mut [Complex],
+    rows: &[Complex],
+    i_mean: &[Complex],
+    normals: &[f64],
+    t: LineTerms,
+) {
+    let [r0, r1, r2, r3] = state_rows(rows, out.len());
+    let w = t.w;
+    for ((((((o, &b0), &b1), &b2), &b3), &im), g) in out
+        .iter_mut()
+        .zip(r0)
+        .zip(r1)
+        .zip(r2)
+        .zip(r3)
+        .zip(i_mean)
+        .zip(normals.chunks_exact(2))
+    {
+        let det = b0 * w[0] + b1 * w[1] + b2 * w[2] + b3 * w[3];
+        let noise = Complex::new(g[0], g[1]).scale(t.sigma);
+        *o = t.reference * (det + noise + im * t.jc);
+    }
+}
+
+simd_kernel! {
+    /// One spectral line per subcarrier: with `K = out.len()`,
+    /// `out[k] = reference · (Σ_σ rows[σ·K + k]·w[σ] + sigma·(g₀ + j·g₁) + i_mean[k]·jc)`,
+    /// the state sum left to right and `(g₀, g₁) = (normals[2k],
+    /// normals[2k+1])` — the deterministic, white-noise and common-jitter
+    /// terms of a mean-subtracted DFT line. `rows` holds the four
+    /// per-state spectra state-major (at least `4·K` entries) and
+    /// `i_mean` comes from [`spectral_mean`].
+    pub fn spectral_line(out: &mut [Complex], rows: &[Complex], i_mean: &[Complex], normals: &[f64], t: LineTerms)
+        = spectral_line_body / spectral_line_avx2 / spectral_line_avx512 / spectral_line_neon
 }
 
 #[cfg(test)]
@@ -1482,6 +1687,240 @@ mod tests {
                 v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 scalar.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             );
+        }
+    }
+
+    type TagStatesFn = unsafe fn(&mut [u8], f64, f64, usize, [DutyWave; 2], bool) -> bool;
+    type SpectralMeanFn = unsafe fn(&mut [Complex], &[Complex], &[Complex], [f64; 4]);
+    type SpectralLineFn = unsafe fn(&mut [Complex], &[Complex], &[Complex], &[f64], LineTerms);
+
+    /// The scalar bodies and every instantiation this CPU can run, for
+    /// the classifier and the two spectral-line kernels.
+    fn spectral_isas() -> Vec<(&'static str, TagStatesFn, SpectralMeanFn, SpectralLineFn)> {
+        let mut isas: Vec<(&'static str, TagStatesFn, SpectralMeanFn, SpectralLineFn)> = vec![(
+            "scalar",
+            tag_states_body,
+            spectral_mean_body,
+            spectral_line_body,
+        )];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                isas.push((
+                    "avx2",
+                    tag_states_avx2,
+                    spectral_mean_avx2,
+                    spectral_line_avx2,
+                ));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512dq")
+                && std::arch::is_x86_feature_detected!("avx512vl")
+            {
+                isas.push((
+                    "avx512",
+                    tag_states_avx512,
+                    spectral_mean_avx512,
+                    spectral_line_avx512,
+                ));
+            }
+        }
+        #[cfg(target_arch = "aarch64")]
+        {
+            if std::arch::is_aarch64_feature_detected!("neon") {
+                isas.push((
+                    "neon",
+                    tag_states_neon,
+                    spectral_mean_neon,
+                    spectral_line_neon,
+                ));
+            }
+        }
+        isas
+    }
+
+    /// A two-clock drive: the WiForce pair (25 % at `fs`, 75 % at `2fs`
+    /// active-low) or the naive pair (50 % at `fs` and `2fs`).
+    fn drive(fs: f64, wiforce: bool) -> ([DutyWave; 2], [f64; 2], bool) {
+        let (p1, p2) = (1.0 / fs, 1.0 / (2.0 * fs));
+        let wave = |period: f64, duty: f64, offset_s: f64| DutyWave {
+            offset_s,
+            inv_period: 1.0 / period,
+            duty,
+        };
+        if wiforce {
+            (
+                [wave(p1, 0.25, 0.0), wave(p2, 0.75, 0.375 * p1)],
+                [p1, p2],
+                true,
+            )
+        } else {
+            ([wave(p1, 0.5, 0.0), wave(p2, 0.5, 0.0)], [p1, p2], false)
+        }
+    }
+
+    /// The exact state: `fmod`-based levels, no estimate.
+    fn rem_euclid_state(t: f64, waves: [DutyWave; 2], periods: [f64; 2], invert2: bool) -> u8 {
+        let high = |w: DutyWave, p: f64| (t - w.offset_s).rem_euclid(p) / p < w.duty;
+        high(waves[0], periods[0]) as u8 | ((high(waves[1], periods[1]) != invert2) as u8) << 1
+    }
+
+    /// Runs one classification on every instantiation: each must return
+    /// the scalar body's states and verdict, and a trusted walk must
+    /// match `rem_euclid` at every instant. Returns the verdict.
+    fn check_tag_states(
+        t0: f64,
+        dt: f64,
+        s0: usize,
+        len: usize,
+        (waves, periods, invert2): ([DutyWave; 2], [f64; 2], bool),
+    ) -> bool {
+        let mut want = vec![0u8; len];
+        let trusted = tag_states_body(&mut want, t0, dt, s0, waves, invert2);
+        for (name, classify, _, _) in spectral_isas() {
+            let mut got = vec![0xFFu8; len];
+            // Safety: spectral_isas lists only detected instantiations.
+            let ok = unsafe { classify(&mut got, t0, dt, s0, waves, invert2) };
+            assert_eq!(
+                (ok, &got),
+                (trusted, &want),
+                "{name} t0={t0:e} dt={dt:e} s0={s0}"
+            );
+        }
+        if trusted {
+            for (i, &st) in want.iter().enumerate() {
+                let t = t0 + (s0 + i) as f64 * dt;
+                assert_eq!(st, rem_euclid_state(t, waves, periods, invert2), "t={t:e}");
+            }
+        }
+        assert_eq!(
+            tag_states(&mut want.clone(), t0, dt, s0, waves, invert2),
+            trusted,
+            "dispatched entry"
+        );
+        trusted
+    }
+
+    #[test]
+    fn tag_states_match_rem_euclid_at_edges_on_every_backend() {
+        // walk each clock edge one ulp at a time (`dt` is the ulp at the
+        // start), from 8 ulps before to 8 after, near the origin, deep
+        // into a run and past the estimate's range
+        let (mut trusted, mut refused) = (0, 0);
+        for j in 0..12 {
+            let fs = 500.0 + j as f64 * 311.7;
+            for wiforce in [true, false] {
+                let d = drive(fs, wiforce);
+                let (waves, periods, _) = d;
+                for (w, p) in waves.iter().zip(periods) {
+                    let ks = [0.0, 1.0, 17.0, 1_000.0, 6_661.0, 99_991.0, 3.0e7];
+                    for k in ks {
+                        for frac in [0.0, w.duty, 1.0] {
+                            let mut t0 = w.offset_s + (k + frac) * p;
+                            for _ in 0..8 {
+                                t0 = t0.next_down();
+                            }
+                            let dt = t0.next_up() - t0;
+                            if check_tag_states(t0, dt, 0, 17, d) {
+                                trusted += 1;
+                            } else {
+                                refused += 1;
+                            }
+                            // single instants straddling the edge margin
+                            // (1e-9 of a period), each decided on its own
+                            let edge = w.offset_s + (k + frac) * p;
+                            for m in [-4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0] {
+                                if check_tag_states(edge + m * 1e-9 * p, 0.0, 0, 1, d) {
+                                    trusted += 1;
+                                } else {
+                                    refused += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // a walk across an edge is never decided by the estimate, while
+        // an instant a few margins off an edge is when in range
+        assert!(refused > 0 && trusted > 0);
+    }
+
+    #[test]
+    fn tag_states_match_rem_euclid_on_snapshot_walks_on_every_backend() {
+        let mut trusted = 0;
+        for wiforce in [true, false] {
+            let d = drive(1000.0, wiforce);
+            for (t0, dt) in [
+                (0.0, 57.6e-6),
+                (0.123e-3, 57.6e-6 * (1.0 + 3e-6)),
+                (12.345, 57.6e-6 * (1.0 - 40e-6)),
+                (999.99, 57.6e-6),
+                (-1e-3, 57.6e-6),
+                (f64::NAN, 57.6e-6),
+            ] {
+                for (s0, len) in [(0, 625), (37, 700), (64, 61), (1 << 20, 64), (5, 3)] {
+                    trusted += usize::from(check_tag_states(t0, dt, s0, len, d));
+                }
+            }
+            // past 2⁵³ the lane index is not exact: the conversion path
+            let huge = (1usize << 53) - 5;
+            check_tag_states(0.25e-3, 1e-19, huge, 20, d);
+        }
+        assert!(trusted > 0, "some walks must be decided by the estimate");
+    }
+
+    #[test]
+    fn spectral_line_kernels_match_the_per_subcarrier_expression_on_every_backend() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for k_sub in [0usize, 1, 7, 8, 9, 64, 65] {
+            let statics = complexes(&mut rng, k_sub);
+            let rows = complexes(&mut rng, 4 * k_sub);
+            let normals: Vec<f64> = (0..2 * k_sub + 2).map(|_| rng.gen::<f64>() - 0.5).collect();
+            let cbar = [0.25, 0.125, 0.5, 0.125];
+            let t = LineTerms {
+                w: [
+                    Complex::new(rng.gen(), rng.gen()),
+                    Complex::new(rng.gen(), -rng.gen::<f64>()),
+                    Complex::new(-rng.gen::<f64>(), rng.gen()),
+                    Complex::new(rng.gen(), rng.gen()),
+                ],
+                sigma: 0.37,
+                jc: Complex::new(1e-3, -2e-3),
+                reference: Complex::cis(0.7),
+            };
+            // the spectral arm's per-line expression, one subcarrier at a
+            // time, meanP rebuilt for every line
+            let b = |state: usize, k: usize| rows[state * k_sub + k];
+            let want: Vec<Complex> = (0..k_sub)
+                .map(|k| {
+                    let det =
+                        b(0, k) * t.w[0] + b(1, k) * t.w[1] + b(2, k) * t.w[2] + b(3, k) * t.w[3];
+                    let noise = Complex::new(normals[2 * k], normals[2 * k + 1]).scale(t.sigma);
+                    let mean_p = statics[k]
+                        + b(0, k).scale(cbar[0])
+                        + b(1, k).scale(cbar[1])
+                        + b(2, k).scale(cbar[2])
+                        + b(3, k).scale(cbar[3]);
+                    t.reference * (det + noise + Complex::I * mean_p * t.jc)
+                })
+                .collect();
+            for (name, _, mean, line) in spectral_isas() {
+                let mut i_mean = vec![Complex::ZERO; k_sub];
+                let mut got = vec![Complex::ZERO; k_sub];
+                // Safety: spectral_isas lists only detected instantiations.
+                unsafe {
+                    mean(&mut i_mean, &statics, &rows, cbar);
+                    line(&mut got, &rows, &i_mean, &normals, t);
+                }
+                assert_eq!(got.len(), want.len(), "{name}");
+                assert_bits_eq(&got, &want);
+            }
+            let mut i_mean = vec![Complex::ZERO; k_sub];
+            let mut got = vec![Complex::ZERO; k_sub];
+            spectral_mean(&mut i_mean, &statics, &rows, cbar);
+            spectral_line(&mut got, &rows, &i_mean, &normals, t);
+            assert_bits_eq(&got, &want);
         }
     }
 }

@@ -17,20 +17,8 @@
 //! switches on. This module provides the clocks, the effective modulation
 //! waveforms, and closed-form Fourier coefficients for verification.
 
+use wiforce_dsp::kernels::{self, DutyWave};
 use wiforce_dsp::{Complex, PI, TAU};
-
-/// Largest `(t − offset)/period` for which [`DutyClock::is_high`] trusts
-/// its reciprocal-multiply phase estimate (error ≤ ≈2.2e-10 of a period).
-const FAST_PHASE_MAX: f64 = 1e6;
-
-/// Adding and subtracting 2⁵² rounds a non-negative double below 2⁵¹ to
-/// the nearest integer.
-const ROUND_MAGIC: f64 = 4_503_599_627_370_496.0;
-
-/// How close (fraction of a period) an estimated phase may come to a clock
-/// edge before [`DutyClock::is_high`] defers to the exact `rem_euclid`
-/// form: 1e-9, four times the estimate's worst-case error.
-const EDGE_MARGIN: f64 = 1e-9;
 
 /// A periodic square wave described by period, duty cycle and offset.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,39 +57,22 @@ impl DutyClock {
     /// over many instants pays for the reciprocal once.
     #[inline]
     fn high_at(&self, t: f64, inv_period: f64) -> bool {
-        match self.level_estimate(t, inv_period) {
+        match kernels::duty_level_estimate(t, self.wave(inv_period)) {
             (high, true) => high,
             _ => self.high_exact(t - self.offset_s),
         }
     }
 
-    /// The level at `t` from a reciprocal-multiply phase estimate, and
-    /// whether that estimate decides it exactly.
-    ///
-    /// The exact level is `fl(r/period) < duty` with `r = x mod period`
-    /// (`x = t − offset`): `fmod` is exact, so `r/period` is the true
-    /// phase `φ` rounded once. The estimate is the fractional part of
-    /// `u = x·(1/period)`, off by at most `2·2⁻⁵³·u` — ≈2.2e-10 of a
-    /// period below [`FAST_PHASE_MAX`] — plus one rounding. It is trusted
-    /// only when it sits more than [`EDGE_MARGIN`] (1e-9) from every edge
-    /// (`0`, `duty`, `1`); then `φ` and its rounding lie on the same side
-    /// of `duty`, so the decision is the exact one. Instants near an edge,
-    /// negative `x`, large `x` and non-finite input are not trusted.
-    /// Branch-free (`&`, not `&&`, and packed-double arithmetic only), so
-    /// a walk over many instants vectorizes.
+    /// The clock as the tag-state classifier reads it
+    /// ([`kernels::duty_level_estimate`], which decides a level exactly
+    /// or reports that it could not).
     #[inline]
-    fn level_estimate(&self, t: f64, inv_period: f64) -> (bool, bool) {
-        let x = t - self.offset_s;
-        let u = x * inv_period;
-        // fractional part via round-to-nearest by 2⁵² (exact for
-        // 0 ≤ u < 2⁵¹); a negative remainder wraps up by one
-        let rem = u - ((u + ROUND_MAGIC) - ROUND_MAGIC);
-        let frac = if rem < 0.0 { rem + 1.0 } else { rem };
-        let trusted = (inv_period > 0.0)
-            & (0.0..FAST_PHASE_MAX).contains(&u)
-            & ((frac - 0.5).abs() < 0.5 - EDGE_MARGIN)
-            & ((frac - self.duty).abs() > EDGE_MARGIN);
-        (frac < self.duty, trusted)
+    fn wave(&self, inv_period: f64) -> DutyWave {
+        DutyWave {
+            offset_s: self.offset_s,
+            inv_period,
+            duty: self.duty,
+        }
     }
 
     /// The exact level of `x = t − offset`. Out of line so the optimizer
@@ -220,22 +191,16 @@ impl ClockPair {
     /// the instant computed exactly as `t0 + s as f64 * dt` — the tag-state
     /// walk of one phase group or one chunk of it.
     ///
-    /// The walk classifies every instant from the branch-free estimate and
-    /// only if some instant was not decided exactly (an edge within 1e-9
-    /// of a period, an instant before a clock's offset, or past the
-    /// estimate's range) re-walks the range instant by instant.
+    /// The walk classifies every instant with the dispatched
+    /// [`kernels::tag_states`] estimate and only if some instant was not
+    /// decided exactly (an edge within 1e-9 of a period, an instant before
+    /// a clock's offset, or past the estimate's range) re-walks the range
+    /// instant by instant.
     pub fn states_into(&self, t0: f64, dt: f64, s0: usize, out: &mut [u8]) {
         let inv1 = 1.0 / self.clock1.period_s;
         let inv2 = 1.0 / self.clock2.period_s;
-        let mut all_trusted = true;
-        for (i, st) in out.iter_mut().enumerate() {
-            let t = t0 + (s0 + i) as f64 * dt;
-            let (on1, ok1) = self.clock1.level_estimate(t, inv1);
-            let (high2, ok2) = self.clock2.level_estimate(t, inv2);
-            *st = Self::pack(on1, high2 != self.switch2_active_low);
-            all_trusted &= ok1 & ok2;
-        }
-        if !all_trusted {
+        let waves = [self.clock1.wave(inv1), self.clock2.wave(inv2)];
+        if !kernels::tag_states(out, t0, dt, s0, waves, self.switch2_active_low) {
             for (i, st) in out.iter_mut().enumerate() {
                 *st = self.state_at(t0 + (s0 + i) as f64 * dt, inv1, inv2);
             }
@@ -672,6 +637,32 @@ mod tests {
                 for (i, &st) in out.iter().enumerate() {
                     let t = t0 + (s0 + i) as f64 * dt;
                     assert_eq!(st, rem_euclid_state(&pair, t), "t0={t0} s={}", s0 + i);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn states_into_matches_rem_euclid_one_ulp_at_a_time_across_edges() {
+        // a walk whose step is one ulp, from 8 ulps before each clock edge
+        // to 8 after: the dispatched estimate cannot decide it, and the
+        // exact re-walk must return the rem_euclid states
+        for pair in [ClockPair::wiforce(1000.0), ClockPair::naive(1370.0)] {
+            for clk in [pair.clock1, pair.clock2] {
+                for k in [1.0, 250.0, 7_919.0, 2.0e7] {
+                    for frac in [0.0, clk.duty] {
+                        let mut t0 = clk.offset_s + (k + frac) * clk.period_s;
+                        for _ in 0..8 {
+                            t0 = t0.next_down();
+                        }
+                        let dt = t0.next_up() - t0;
+                        let mut out = [0xFFu8; 17];
+                        pair.states_into(t0, dt, 0, &mut out);
+                        for (i, &st) in out.iter().enumerate() {
+                            let t = t0 + i as f64 * dt;
+                            assert_eq!(st, rem_euclid_state(&pair, t), "t={t:e}");
+                        }
+                    }
                 }
             }
         }

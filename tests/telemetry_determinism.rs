@@ -129,3 +129,64 @@ fn telemetry_does_not_perturb_streaming_readings() {
     assert_eq!(count("estimator.group"), 3);
     assert_eq!(count("estimator.group/estimator.model_invert"), 2);
 }
+
+/// Every press names the synthesis arm that ran it and, when the spectral
+/// arm was asked for but refused, why; the readings stay bit-equal with
+/// the recorder off and on.
+#[test]
+fn spectral_press_counters_name_the_arm_and_the_refusal() {
+    let mut sim = Simulation::paper_default(2.4e9);
+    sim.reference_groups = 1;
+    sim.measure_groups = 1;
+    let contact = sim.contact_for(4.0, 0.035);
+    let mut spectral = sim.clone();
+    spectral.synth_spectral = Some(true);
+    let mut refused = spectral.clone();
+    refused.faults.snapshot_drop_prob = 0.01;
+    let mut time_domain = sim.clone();
+    time_domain.synth_spectral = Some(false);
+    let cases = [
+        (&spectral, "pipeline.arm.spectral", None),
+        (
+            &refused,
+            "pipeline.arm.time_domain",
+            Some("pipeline.spectral_refused.snapshot_drops"),
+        ),
+        (&time_domain, "pipeline.arm.time_domain", None),
+    ];
+
+    let _gate = gate();
+    for (sim, arm, refusal) in cases {
+        let press = || {
+            let mut rng = StdRng::seed_from_u64(17);
+            sim.measure_phases(contact.as_ref(), &mut rng)
+                .map(|p| [p.dphi1_rad, p.dphi2_rad, p.line_power].map(f64::to_bits))
+                .map_err(|e| e.to_string())
+        };
+        wiforce_telemetry::set_enabled(false);
+        wiforce_telemetry::reset();
+        let off = press();
+        wiforce_telemetry::set_enabled(true);
+        wiforce_telemetry::reset();
+        let on = press();
+        wiforce_telemetry::set_enabled(false);
+        let recorded = wiforce_telemetry::take();
+
+        assert_eq!(off, on, "{arm}");
+        let arms: Vec<(&String, &u64)> = recorded
+            .counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("pipeline.arm."))
+            .collect();
+        assert_eq!(arms, [(&arm.to_string(), &1)], "{arm}");
+        let refusals: Vec<&String> = recorded
+            .counters
+            .keys()
+            .filter(|k| k.starts_with("pipeline.spectral_refused."))
+            .collect();
+        assert_eq!(refusals, refusal.into_iter().collect::<Vec<_>>(), "{arm}");
+        if let Some(name) = refusal {
+            assert_eq!(recorded.counters.get(name), Some(&1));
+        }
+    }
+}
